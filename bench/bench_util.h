@@ -17,11 +17,17 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
+
+#ifndef NAIAD_BENCH_BUILD_TYPE
+#define NAIAD_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace naiad::bench {
 
@@ -170,6 +176,27 @@ class JsonReport {
   Fields config_;
   std::vector<Fields> rows_;
 };
+
+// The machine a row was measured on: core count, CPU model (/proc/cpuinfo) and CMake
+// build type, so rows from different machines or builds are never compared as equals.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      const size_t start = line.find_first_not_of(" \t", colon + 1);
+      return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
+inline void MachineFields(JsonReport& json) {
+  json.Num("nproc", std::thread::hardware_concurrency());
+  json.Str("cpu_model", CpuModel());
+  json.Str("build_type", NAIAD_BENCH_BUILD_TYPE);
+}
 
 // Progress-scope accounting fields shared by the fig6c table and its JSON record: how
 // many of the emitted progress bytes were cross-scope (root-space updates that must reach

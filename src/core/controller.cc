@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <tuple>
 
 #include "src/base/logging.h"
@@ -132,8 +131,10 @@ void Controller::Start() {
   // In job-server mode the server's shared host threads drive the workers via RunPass();
   // spawning per-job threads here would defeat the sharing. The flag gates those hosts
   // off the workers until the seeding above is fully published.
-  workers_live_.store(true, std::memory_order_release);
-  event().NotifyAll();
+  {
+    EventCount::Publication pub(event());
+    workers_live_.store(true, std::memory_order_release);
+  }
   if (!cfg_.external_workers) {
     for (auto& w : workers_) {
       w->Start();
@@ -194,15 +195,19 @@ void Controller::PauseAndDrain() {
   event().NotifyAll();
   // Wait until every worker is parked with nothing queued anywhere. Parked workers cannot
   // generate messages, so (parked == N && inboxes empty && local queues empty) is stable
-  // provided external producers are quiet (the caller's contract).
+  // provided external producers are quiet (the caller's contract). A worker parking
+  // notifies (NoteWorkerParked), and a parked worker whose inbox fills wakes, drains, and
+  // parks again, so the event count carries every change this predicate depends on; the
+  // timeout is a liveness backstop.
   while (true) {
+    const EventCount::Ticket ticket = event().PrepareWait();
     // Workers only park with empty local queues, so parked == N plus empty inboxes means
     // no message can be in flight anywhere in this process.
     if (parked_.load(std::memory_order_acquire) == cfg_.workers_per_process &&
         AllInboxesEmpty()) {
       return;
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    event().CommitWait(ticket, std::chrono::milliseconds(1));
   }
 }
 

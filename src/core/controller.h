@@ -195,9 +195,18 @@ class Controller {
   void Resume();
   bool pause_requested() const { return pause_.load(std::memory_order_acquire); }
 
-  // Pause bookkeeping (called by workers).
-  void NoteWorkerParked() { parked_.fetch_add(1, std::memory_order_acq_rel); }
+  // Pause bookkeeping (called by workers). Parking notifies, so PauseAndDrain waits on
+  // the event count rather than polling.
+  void NoteWorkerParked() {
+    parked_.fetch_add(1, std::memory_order_acq_rel);
+    event().NotifyAll();
+  }
   void NoteWorkerUnparked() { parked_.fetch_sub(1, std::memory_order_acq_rel); }
+
+  // Idle parks of this controller's own worker threads that timed out and then found work
+  // (WakeupAudit). Job-server hosts count theirs in ClusterStats::missed_wakeups.
+  void NoteMissedWakeup() { missed_wakeups_.fetch_add(1, std::memory_order_relaxed); }
+  uint64_t missed_wakeups() const { return missed_wakeups_.load(std::memory_order_relaxed); }
 
   // Local-quiescence probe for the cluster checkpoint barrier: no worker inbox holds an
   // undelivered item. Racy by nature — callers must re-check across barrier rounds (the
@@ -239,6 +248,7 @@ class Controller {
   std::atomic<bool> workers_live_{false};
   std::atomic<bool> pause_{false};
   std::atomic<uint32_t> parked_{0};
+  std::atomic<uint64_t> missed_wakeups_{0};
 };
 
 }  // namespace naiad

@@ -54,7 +54,6 @@ class InputHandle {
     progress_.Add(Pointstamp{Timestamp(next_epoch_ + 1), Location::Stage(stage_)}, +1);
     progress_.Add(Pointstamp{t, Location::Stage(stage_)}, -1);
     ctl_->progress_router().Broadcast(progress_.Take());
-    ctl_->event().NotifyAll();
     if (ctl_->obs().tracer().enabled()) {
       obs::Tracer& tr = ctl_->obs().tracer();
       tr.Control(obs::TraceKind::kEpochClose, stage_, next_epoch_, 0);
@@ -85,7 +84,6 @@ class InputHandle {
       RouteRecords(fanout[i], t, std::move(copy));
     }
     ctl_->progress_router().Broadcast(progress_.Take());
-    ctl_->event().NotifyAll();
   }
 
   // Fault tolerance: fast-forward this handle to the epoch saved in a checkpoint image.
@@ -104,7 +102,6 @@ class InputHandle {
     ctl_->NoteLocalInputEpoch(stage_, next_epoch_, closed_);
     progress_.Add(Pointstamp{Timestamp(next_epoch_), Location::Stage(stage_)}, -1);
     ctl_->progress_router().Broadcast(progress_.Take());
-    ctl_->event().NotifyAll();
     if (ctl_->obs().tracer().enabled()) {
       ctl_->obs().tracer().Control(obs::TraceKind::kEpochClose, stage_, next_epoch_, 1);
     }

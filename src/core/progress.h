@@ -258,6 +258,7 @@ class ProgressTracker {
     if (updates.empty()) {
       return;
     }
+    EventCount::Publication pub(*event_);  // notifies once the new counts are visible
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!ready_ && !graph_->frozen()) {
@@ -276,7 +277,6 @@ class ProgressTracker {
       }
       version_.fetch_add(1, std::memory_order_release);
     }
-    event_->NotifyAll();
   }
 
   // §2.3: a notification with (projected) pointstamp p may be delivered when no *other*
@@ -376,7 +376,9 @@ class ProgressTracker {
   }
 
   // Blocks the calling (non-worker) thread until `pred`-style conditions hold; used by
-  // Join and by output probes.
+  // Join and by output probes. Every tracker change notifies the event count, and so does
+  // cancellation; the timeout backstops predicates over state whose setters do not (a
+  // cluster recovery request, which only the recovery path raises).
   template <typename Pred>
   void WaitFor(Pred pred) const {
     while (true) {
@@ -569,13 +571,29 @@ class ProgressTracker {
 
 // Where a worker's flushed updates go. The local router applies them directly; the
 // distributed routers in src/progress add broadcast and accumulation (§3.3).
+//
+// Wake-up rule for accumulating routers: an update held in a buffer is somebody's flush
+// obligation. A worker that holds its own flush (BroadcastFromWorker) discharges it at
+// its idle edge (OnWorkerIdle) before it parks; a hold made on any other thread — a
+// network receiver, an input driver — bumps held_generation() and notifies the event
+// count (inside an EventCount::Publication), so a parked worker or host wakes to flush it
+// instead of sleeping out a timeout.
 class ProgressRouter {
  public:
   virtual ~ProgressRouter() = default;
   // Must (eventually) apply `updates` to every process's tracker, including the caller's.
   virtual void Broadcast(std::vector<ProgressUpdate> updates) = 0;
+  // The same, called from a worker's own scheduling pass (see the rule above).
+  virtual void BroadcastFromWorker(std::vector<ProgressUpdate> updates) {
+    Broadcast(std::move(updates));
+  }
   // Called when a worker runs out of work; accumulating routers flush held updates here.
-  virtual void OnWorkerIdle() {}
+  // Returns true iff that released a hold made on another thread than a worker's (the
+  // work a missed wakeup would have left waiting; see WakeupAudit).
+  virtual bool OnWorkerIdle() { return false; }
+  // Bumped before the notify each time a non-worker hold starts; idle workers and hosts
+  // fold it into their park check.
+  virtual uint64_t held_generation() const { return 0; }
 };
 
 class LocalProgressRouter final : public ProgressRouter {

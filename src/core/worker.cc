@@ -7,6 +7,14 @@
 
 namespace naiad {
 
+namespace {
+
+// Idle park bound. Every producer notifies (the EventCount wake-up contract), so this
+// only backstops liveness; WakeupAudit counts any park it ends that then finds work.
+constexpr auto kIdleWait = std::chrono::microseconds(500);
+
+}  // namespace
+
 Worker::Worker(Controller* ctl, uint32_t local_index)
     : ctl_(ctl),
       local_index_(local_index),
@@ -25,8 +33,8 @@ void Worker::EnqueueExternal(std::unique_ptr<WorkItemBase> item) {
   if (obs_time_) {
     item->set_enqueue_ns(obs::MonotonicNs());
   }
+  EventCount::Publication pub(ctl_->event());
   inbox_.Push(std::move(item));
-  ctl_->event().NotifyAll();
 }
 
 void Worker::EnqueueLocal(std::unique_ptr<WorkItemBase> item) {
@@ -103,7 +111,7 @@ void Worker::FlushProgress() {
     metrics_->progress_flushes.fetch_add(1, std::memory_order_relaxed);
     metrics_->flush_updates.Record(updates.size());
   }
-  ctl_->progress_router().Broadcast(std::move(updates));
+  ctl_->progress_router().BroadcastFromWorker(std::move(updates));
 }
 
 void Worker::Start() {
@@ -233,9 +241,12 @@ void Worker::ThreadMain() {
   if (ctl_->obs().tracer().enabled()) {
     trace_ = ctl_->obs().tracer().RegisterThread("worker" + std::to_string(global_index_));
   }
+  WakeupAudit audit(ctl_->event());
   uint64_t idle_version = ~0ULL;
+  uint64_t idle_held = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     if (ctl_->pause_requested()) {
+      audit.Missed(/*found_work=*/false);  // a pause is not work; only idle parks count
       // §3.4: deliver outstanding messages (no notifications) and park until Resume.
       for (;;) {
         bool any = false;
@@ -264,11 +275,16 @@ void Worker::ThreadMain() {
         if (!ctl_->pause_requested() || stop_.load(std::memory_order_acquire)) {
           break;
         }
+        // Stay counted as parked across wake-ups that bring nothing for this worker, so
+        // parking (which notifies PauseAndDrain) happens once per drained queue.
         ctl_->NoteWorkerParked();
-        EventCount::Ticket ticket = ctl_->event().PrepareWait();
-        if (inbox_.Empty() && ctl_->pause_requested() &&
-            !stop_.load(std::memory_order_acquire)) {
-          ctl_->event().CommitWait(ticket, std::chrono::microseconds(500));
+        for (;;) {
+          const EventCount::Ticket ticket = ctl_->event().PrepareWait();
+          if (!inbox_.Empty() || !ctl_->pause_requested() ||
+              stop_.load(std::memory_order_acquire)) {
+            break;
+          }
+          ctl_->event().CommitWait(ticket, kIdleWait);
         }
         ctl_->NoteWorkerUnparked();
       }
@@ -276,24 +292,36 @@ void Worker::ThreadMain() {
     }
 
     if (DispatchOnce()) {
+      if (audit.Missed(true)) {
+        ctl_->NoteMissedWakeup();
+      }
       idle_version = ~0ULL;
       continue;
     }
     // No work: flush, let accumulating progress routers release held updates, then sleep
-    // unless something arrived or the frontier moved since our last notification scan.
+    // unless something arrived, a non-worker thread started holding progress, or the
+    // frontier moved since our last notification scan.
     FlushProgress();
-    ctl_->progress_router().OnWorkerIdle();
+    if (audit.Missed(ctl_->progress_router().OnWorkerIdle())) {
+      ctl_->NoteMissedWakeup();
+    }
     EventCount::Ticket ticket = ctl_->event().PrepareWait();
-    uint64_t version = ctl_->tracker().version();
+    const uint64_t version = ctl_->tracker().version();
+    const uint64_t held = ctl_->progress_router().held_generation();
     if (!inbox_.Empty() || stop_.load(std::memory_order_acquire) ||
         ctl_->pause_requested()) {
       continue;
+    }
+    if (held != idle_held) {
+      idle_held = held;
+      continue;  // a hold started after our flush; flush it before parking
     }
     if ((!pending_.empty() || !purges_.empty()) && version != idle_version) {
       idle_version = version;
       continue;  // frontier may have moved; rescan notifications and purges
     }
-    ctl_->event().CommitWait(ticket, std::chrono::microseconds(500));
+    // The timeout is a liveness backstop; a park it ends that then finds work is counted.
+    audit.Park(ticket, kIdleWait);
   }
   // Shutdown happens only after the computation drained, so every remaining purge's
   // guarantee time has passed; deliver them before exiting (their capability is ⊤, so
@@ -311,9 +339,9 @@ bool Worker::RunPass() {
   return DispatchOnce();
 }
 
-void Worker::IdleFlush() {
+bool Worker::IdleFlush() {
   FlushProgress();
-  ctl_->progress_router().OnWorkerIdle();
+  return ctl_->progress_router().OnWorkerIdle();
 }
 
 void Worker::DeliverFinalPurges() {

@@ -161,6 +161,11 @@ struct ClusterStats {
   uint64_t credit_stalls = 0;          // data sends that blocked on queue room / credit
   uint64_t frames_shed = 0;            // data frames dropped under shed_data
   uint64_t send_queue_hwm_bytes = 0;   // max over processes of peak per-link queued bytes
+  // Host parks that timed out and whose next pass then ran work or flushed held progress
+  // with no notify announcing it (WakeupAudit in src/base/event_count.h). Zero unless a
+  // producer skipped its notify; fault plans that defer idle flushes rely on the timeout
+  // by design and count here.
+  uint64_t missed_wakeups = 0;
 };
 
 // Reads NAIAD_PROGRESS_SCOPING ("flat" / "scoped"); the sweep tests and the CI matrix use

@@ -9,8 +9,10 @@ namespace naiad {
 
 namespace {
 
-// Host threads wake on the shared EventCount; the timeout bounds the idle re-check so a
-// missed notify can only delay, never hang, a pass (same cadence as Worker::ThreadMain).
+// Host threads wake on the shared EventCount. Every producer notifies after publishing
+// (including a progress accumulator that starts holding on a receiver thread), so this
+// timeout is only a liveness backstop: a park it ends that then finds work is a missed
+// wakeup, counted in ClusterStats::missed_wakeups and asserted zero by the tests.
 constexpr auto kHostIdleWait = std::chrono::microseconds(500);
 
 }  // namespace
@@ -84,6 +86,7 @@ struct JobServer::ProcessState {
 
   std::atomic<uint64_t> stray_dropped{0};
   std::atomic<uint64_t> stash_drops{0};
+  std::atomic<uint64_t> missed_wakeups{0};  // hosts' WakeupAudit verdicts
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> hosts;
@@ -478,6 +481,7 @@ void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
 }
 
 void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
+  WakeupAudit audit(ps.event);
   uint64_t idle_fingerprint = ~uint64_t{0};
   while (!ps.stop.load(std::memory_order_acquire)) {
     bool ran = false;
@@ -497,15 +501,20 @@ void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
       }
     }
     if (ran) {
+      if (audit.Missed(true)) {
+        ps.missed_wakeups.fetch_add(1, std::memory_order_relaxed);
+      }
       idle_fingerprint = ~uint64_t{0};
       continue;
     }
     // Idle edge, eventcount-style (§3.3): snapshot the generation, flush, re-check every
-    // work source, and only then park. Any job's progress bumps its tracker version (and
-    // notifies the shared event), so the fingerprint changing forces another pass.
+    // work source, and only then park. Any job's progress bumps its tracker version, and
+    // any hold a non-worker thread starts bumps its router's held generation; both notify
+    // the shared event, so the fingerprint changing forces another pass.
     const EventCount::Ticket ticket = ps.event.PrepareWait();
     uint64_t fingerprint = 0;
     bool rescan = false;
+    bool emitted = false;
     {
       JobsSharedScope scope(ps.jobs_mu, &ps);
       fingerprint = ps.jobs_generation;
@@ -518,10 +527,13 @@ void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
         if (!ctl.workers_live() || ctl.stopping()) {
           continue;
         }
-        ctl.worker(worker_index).IdleFlush();
-        fingerprint += ctl.tracker().version();
+        emitted = ctl.worker(worker_index).IdleFlush() || emitted;
+        fingerprint += ctl.tracker().version() + ctx->router->held_generation();
         rescan = rescan || !ctl.worker(worker_index).InboxEmpty();
       }
+    }
+    if (audit.Missed(emitted)) {
+      ps.missed_wakeups.fetch_add(1, std::memory_order_relaxed);
     }
     if (rescan || ps.stop.load(std::memory_order_acquire)) {
       continue;
@@ -530,7 +542,7 @@ void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
       idle_fingerprint = fingerprint;
       continue;
     }
-    ps.event.CommitWait(ticket, kHostIdleWait);
+    audit.Park(ticket, kHostIdleWait);
   }
 }
 
@@ -598,6 +610,7 @@ ClusterStats JobServer::Stop() {
                                           t.send_queue_hwm_bytes());
     stats.stray_frames_dropped += ps->stray_dropped.load(std::memory_order_relaxed);
     stats.stash_overflow_drops += ps->stash_drops.load(std::memory_order_relaxed);
+    stats.missed_wakeups += ps->missed_wakeups.load(std::memory_order_relaxed);
     {
       // Stash entries that never found their job (junk ids under the quota) are strays.
       std::lock_guard<std::mutex> lock(ps->stash_mu);

@@ -1,5 +1,8 @@
 #include "src/net/progress_router.h"
 
+#include <optional>
+#include <utility>
+
 #include "src/ser/codec.h"
 
 namespace naiad {
@@ -37,6 +40,15 @@ void DistributedProgressRouter::AccountScopes(const std::vector<ProgressUpdate>&
 }
 
 void DistributedProgressRouter::Broadcast(std::vector<ProgressUpdate> updates) {
+  Accumulate(std::move(updates), /*from_worker=*/false);
+}
+
+void DistributedProgressRouter::BroadcastFromWorker(std::vector<ProgressUpdate> updates) {
+  Accumulate(std::move(updates), /*from_worker=*/true);
+}
+
+void DistributedProgressRouter::Accumulate(std::vector<ProgressUpdate> updates,
+                                           bool from_worker) {
   if (updates.empty()) {
     return;
   }
@@ -47,11 +59,21 @@ void DistributedProgressRouter::Broadcast(std::vector<ProgressUpdate> updates) {
       return;
     case ProgressStrategy::kLocalAcc:
     case ProgressStrategy::kLocalGlobalAcc: {
+      // A worker flushes its own holds at its idle edge; any other thread's hold may owe
+      // the parked workers a notify, so it is published as such.
+      std::optional<EventCount::Publication> pub;
+      if (!from_worker) {
+        pub.emplace(ctl_->event());
+      }
       bool flush;
+      bool announce = false;
       {
         std::lock_guard<std::mutex> lock(local_mu_);
         AddToBuffer(local_buf_, updates);
         flush = !SafeToHold(local_buf_);
+        if (!from_worker) {
+          announce = MarkForeign(local_buf_, local_foreign_);
+        }
       }
       // An early flush is always safe (holding is the optimization); injecting one
       // exercises schedules where the accumulator releases mid-burst.
@@ -61,9 +83,28 @@ void DistributedProgressRouter::Broadcast(std::vector<ProgressUpdate> updates) {
       if (flush) {
         FlushLocal();
       }
+      if (pub) {
+        Announce(*pub, announce && !flush);
+      }
       return;
     }
   }
+}
+
+bool DistributedProgressRouter::MarkForeign(const std::map<Pointstamp, int64_t>& buf,
+                                            bool& foreign) {
+  if (buf.empty() || foreign) {
+    return false;
+  }
+  foreign = true;
+  return true;
+}
+
+void DistributedProgressRouter::Announce(EventCount::Publication& pub, bool announce) {
+  if (announce) {
+    ++held_generation_;
+  }
+  pub.set_notify(announce);
 }
 
 void DistributedProgressRouter::Emit(std::vector<ProgressUpdate> updates) {
@@ -113,11 +154,21 @@ void DistributedProgressRouter::OnAccumulatorFrame(uint32_t /*src*/,
                                                    std::span<const uint8_t> payload) {
   NAIAD_CHECK(IsCentral());
   std::vector<ProgressUpdate> ups = DecodeUpdates(payload);
+  // This runs on a transport receiver thread (or inline under a self-send), which will
+  // never reach an idle edge for this job: every central hold is the parked hosts' to
+  // flush, so the first one since the last flush notifies them.
+  EventCount::Publication pub(ctl_->event());
   bool flush;
+  bool announce;
   {
     std::lock_guard<std::mutex> lock(central_mu_);
+    const bool was_empty = central_buf_.empty();
     AddToBuffer(central_buf_, ups);
     flush = !SafeToHold(central_buf_);
+    announce = MarkForeign(central_buf_, central_foreign_);
+    if (was_empty && !central_buf_.empty() && ctl_->obs().metrics().process() != nullptr) {
+      central_hold_start_ns_ = obs::MonotonicNs();
+    }
   }
   if (!flush && faults_ != nullptr && faults_->ForceEarlyFlush()) {
     flush = true;
@@ -125,22 +176,26 @@ void DistributedProgressRouter::OnAccumulatorFrame(uint32_t /*src*/,
   if (flush) {
     FlushCentral();
   }
+  Announce(pub, announce && !flush);
 }
 
-void DistributedProgressRouter::OnWorkerIdle() {
+bool DistributedProgressRouter::OnWorkerIdle() {
   // Idle flushes may be deferred (boundedly) by the fault hook: idle workers re-poll on
   // the eventcount timeout, so a deferred flush is retried until the hook lets it pass.
+  // Under a fault plan that retry is a timed-out park followed by a flush, so fault-plan
+  // runs count missed wakeups by design.
   if (faults_ != nullptr && !faults_->BeforeIdleFlush()) {
-    return;
+    return false;
   }
-  FlushAll();
+  return FlushAll();
 }
 
-void DistributedProgressRouter::FlushAll() {
-  FlushLocal();
+bool DistributedProgressRouter::FlushAll() {
+  bool emitted = FlushLocal();
   if (IsCentral()) {
-    FlushCentral();
+    emitted = FlushCentral() || emitted;
   }
+  return emitted;
 }
 
 bool DistributedProgressRouter::Empty() const {
@@ -205,28 +260,39 @@ std::vector<ProgressUpdate> DistributedProgressRouter::TakeBuffer(
   return out;
 }
 
-void DistributedProgressRouter::FlushLocal() {
+bool DistributedProgressRouter::FlushLocal() {
   std::vector<ProgressUpdate> ups;
+  bool foreign;
   {
     std::lock_guard<std::mutex> lock(local_mu_);
+    foreign = std::exchange(local_foreign_, false);
     if (local_buf_.empty()) {
-      return;
+      return false;
     }
     ups = TakeBuffer(local_buf_);
   }
   Emit(std::move(ups));
+  return foreign;
 }
 
-void DistributedProgressRouter::FlushCentral() {
+bool DistributedProgressRouter::FlushCentral() {
   std::vector<ProgressUpdate> ups;
   {
     std::lock_guard<std::mutex> lock(central_mu_);
+    central_foreign_ = false;
     if (central_buf_.empty()) {
-      return;
+      return false;
     }
     ups = TakeBuffer(central_buf_);
+    if (central_hold_start_ns_ != 0) {
+      if (obs::ProcessMetrics* m = ctl_->obs().metrics().process()) {
+        m->progress_central_hold_ns.Record(obs::MonotonicNs() - central_hold_start_ns_);
+      }
+      central_hold_start_ns_ = 0;
+    }
   }
   EmitFromCentral(std::move(ups));
+  return true;
 }
 
 }  // namespace naiad

@@ -15,6 +15,14 @@
 // pointstamp could-result-in p (so no frontier decision depends on p yet). Any violation —
 // or a worker running out of work — flushes the whole buffer, positives first (the
 // ProgressBuffer ordering).
+//
+// Holding never hides work from a parked thread (the ProgressRouter wake-up rule): a hold
+// made on a worker's own pass is flushed at that worker's idle edge, and every other
+// ("foreign") hold — the central accumulator's receive path, input drivers, recovery
+// injection — is published on the event count: the first foreign hold since a buffer's
+// last flush bumps held_generation() and notifies. A park that times out and then
+// releases a foreign hold is a missed wakeup, counted and asserted zero by the tests; the
+// idle timeout is only a liveness backstop.
 
 #ifndef SRC_NET_PROGRESS_ROUTER_H_
 #define SRC_NET_PROGRESS_ROUTER_H_
@@ -75,14 +83,19 @@ class DistributedProgressRouter final : public ProgressRouter {
     acct_ = acct;
   }
 
-  // From local workers (and input handles).
+  // From input handles and other non-worker threads, and from local workers.
   void Broadcast(std::vector<ProgressUpdate> updates) override;
-  void OnWorkerIdle() override;
+  void BroadcastFromWorker(std::vector<ProgressUpdate> updates) override;
+  bool OnWorkerIdle() override;
+  uint64_t held_generation() const override {
+    return held_generation_.load();
+  }
 
   // Unconditional flush of every held update, bypassing any fault-injected deferral. The
   // termination barrier must use this: its report reads the tracker immediately after the
   // flush, and a deferred flush there could hide updates from the stability check.
-  void FlushAll();
+  // Returns true iff it released a foreign hold.
+  bool FlushAll();
 
   // Transport receive paths.
   void OnProgressFrame(uint32_t src, std::span<const uint8_t> payload);
@@ -131,12 +144,20 @@ class DistributedProgressRouter final : public ProgressRouter {
   // Central accumulator output: broadcast to every process including self.
   void EmitFromCentral(std::vector<ProgressUpdate> updates);
 
+  void Accumulate(std::vector<ProgressUpdate> updates, bool from_worker);
   void AddToBuffer(std::map<Pointstamp, int64_t>& buf, std::span<const ProgressUpdate> ups);
   bool SafeToHold(const std::map<Pointstamp, int64_t>& buf) const;
   std::vector<ProgressUpdate> TakeBuffer(std::map<Pointstamp, int64_t>& buf);
+  // Under the buffer's lock, after a foreign add: true iff `buf` now holds and this is its
+  // first foreign hold since the last flush, i.e. the one that owes a notify.
+  static bool MarkForeign(const std::map<Pointstamp, int64_t>& buf, bool& foreign);
+  // Closes a foreign add's publication: notifies (after bumping held_generation_) iff the
+  // add still holds and owes the notify.
+  void Announce(EventCount::Publication& pub, bool announce);
 
-  void FlushLocal();
-  void FlushCentral();
+  // Both return true iff they released a foreign hold.
+  bool FlushLocal();
+  bool FlushCentral();
 
   Controller* ctl_;
   TcpTransport* transport_;
@@ -148,9 +169,14 @@ class DistributedProgressRouter final : public ProgressRouter {
 
   mutable std::mutex local_mu_;
   std::map<Pointstamp, int64_t> local_buf_;
+  bool local_foreign_ = false;  // holds a foreign update (guarded by local_mu_)
 
   mutable std::mutex central_mu_;  // process 0 only
   std::map<Pointstamp, int64_t> central_buf_;
+  bool central_foreign_ = false;  // as local_foreign_; every central hold is foreign
+  uint64_t central_hold_start_ns_ = 0;  // first update into central_buf_ (metrics only)
+
+  std::atomic<uint64_t> held_generation_{0};
 
   std::atomic<uint64_t> cross_scope_update_bytes_{0};
   std::atomic<uint64_t> in_scope_update_bytes_{0};

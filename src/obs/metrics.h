@@ -175,6 +175,8 @@ struct alignas(64) LinkMetrics {
 // Process-wide counters that have no single owning thread (progress router, recovery).
 struct alignas(64) ProcessMetrics {
   LogHistogram progress_emit_updates;  // updates per wire flush (Emit/EmitFromCentral)
+  // Central accumulator (process 0) hold: first update into the buffer -> its flush.
+  LogHistogram progress_central_hold_ns;
   std::atomic<uint64_t> cluster_checkpoints{0};  // committed cluster checkpoint epochs
   std::atomic<uint64_t> cluster_recoveries{0};   // coordinated restarts participated in
 
@@ -246,6 +248,7 @@ class Metrics {
       b.Histogram("send_queue_bytes", l.send_queue_bytes);
     }
     b.Histogram("progress_emit_updates", process_.progress_emit_updates);
+    b.Histogram("progress_central_hold_ns", process_.progress_central_hold_ns);
     b.Counter("cluster_checkpoints",
               process_.cluster_checkpoints.load(std::memory_order_relaxed));
     b.Counter("cluster_recoveries",

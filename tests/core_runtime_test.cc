@@ -286,6 +286,8 @@ TEST(RuntimeTest, NotificationBarrierIsGloballyOrdered) {
   for (uint64_t i = 0; i < kIters; ++i) {
     EXPECT_EQ(done[i].load(), ctl.total_workers()) << "iteration " << i;
   }
+  // Every iteration wakes parked workers through the tracker's notify, never a timeout.
+  EXPECT_EQ(ctl.missed_wakeups(), 0u);
 }
 
 TEST(RuntimeTest, ProbeWaitsForEpochCompletion) {
@@ -484,6 +486,7 @@ TEST(RuntimeTest, ManyWorkersManyEpochsDrainCleanly) {
   handle->OnCompleted();
   ctl.Join();
   EXPECT_EQ(count.load(), 100u * kEpochs);
+  EXPECT_EQ(ctl.missed_wakeups(), 0u);
 }
 
 // ------------------------------------------------------------------------------------

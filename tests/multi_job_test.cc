@@ -1,6 +1,7 @@
 // Tests for the multi-tenant job server: dynamic registration on a live cluster,
-// concurrent jobs on shared workers and links, isolated teardown, and the demux's
-// stray-frame discipline.
+// concurrent jobs on shared workers and links, isolated teardown, the demux's stray-frame
+// discipline, and the hosts' event-driven wake-ups (no park may end by timeout with work
+// waiting).
 //
 // The seeded sweep registers several jobs at randomized times, tears a seed-chosen
 // victim down mid-run, and requires every surviving job's output to be identical to a
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -18,7 +20,9 @@
 #include <mutex>
 #include <optional>
 #include <random>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/io.h"
@@ -350,6 +354,160 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MultiJobSweep, ::testing::Range(uint64_t{0}, uin
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "Shard" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------------------------
+// Event-driven progress path. Every producer of work — including a progress accumulator
+// that starts holding updates on a receiver thread — must notify the shared event count,
+// so a parked host never sleeps out its idle timeout while work waits. The hosts audit
+// each park (WakeupAudit): one that times out and is followed by a pass that runs work or
+// flushes held progress is a missed wakeup. These loops alternate between every process
+// parking and a progress round trip waking it, for every strategy and scoping, and
+// require zero missed wakeups. No wall-clock bound: a missed wakeup fails the count, not a
+// latency threshold. Fault-plan runs are exempt by design — there BeforeIdleFlush defers
+// idle flushes and relies on the timeout to retry them.
+
+constexpr uint64_t kWakeEpochs = 200;
+constexpr uint64_t kWakeRecords = 8;  // per process per epoch
+constexpr uint64_t kWakeKeys = 16;
+constexpr uint64_t kBarrierIterations = 200;
+
+using WakeParam = std::tuple<ProgressStrategy, ProgressScoping>;
+
+ClusterOptions WakeOptions(const WakeParam& param) {
+  ClusterOptions opts;
+  opts.processes = 2;
+  opts.workers_per_process = 1;
+  opts.strategy = std::get<0>(param);
+  opts.scoping = std::get<1>(param);
+  return opts;
+}
+
+uint64_t WakeRecord(uint32_t pid, uint64_t epoch, uint64_t i) {
+  return (pid * 7 + epoch * 3 + i) % kWakeKeys;
+}
+
+// Closed-loop Count -> Subscribe: both processes feed epoch e only after the subscriber
+// (process 0) has delivered epoch e - 1, so between epochs every host parks and each
+// epoch's completion crosses the progress protocol.
+struct ClosedLoop {
+  std::mutex mu;
+  std::condition_variable cv;
+  uint64_t delivered = 0;
+  std::map<uint64_t, std::map<uint64_t, uint64_t>> got;  // epoch -> key -> count
+};
+
+ClusterStats RunClosedLoop(const WakeParam& param, ClosedLoop& loop) {
+  return Cluster::Run(WakeOptions(param), [&loop](Controller& ctl) {
+    GraphBuilder b(ctl);
+    auto [in, handle] = NewInput<uint64_t>(b);
+    StageId count = b.NewStage<CountPerKeyVertex>(
+        StageOptions{.name = "count"},
+        [](uint32_t) { return std::make_unique<CountPerKeyVertex>(); });
+    b.Connect<CountPerKeyVertex, uint64_t>(in, count, 0,
+                                           [](const uint64_t& k) { return k; });
+    Subscribe<std::pair<uint64_t, uint64_t>>(
+        b.OutputOf<std::pair<uint64_t, uint64_t>>(count),
+        [&loop](uint64_t epoch, std::vector<std::pair<uint64_t, uint64_t>>& recs) {
+          std::lock_guard<std::mutex> lock(loop.mu);
+          for (auto [k, n] : recs) {
+            loop.got[epoch][k] += n;
+          }
+          loop.delivered = epoch + 1;
+          loop.cv.notify_all();
+        });
+    ctl.Start();
+    const uint32_t pid = ctl.config().process_id;
+    for (uint64_t e = 0; e < kWakeEpochs; ++e) {
+      {
+        std::unique_lock<std::mutex> lock(loop.mu);
+        loop.cv.wait(lock, [&] { return loop.delivered >= e; });
+      }
+      std::vector<uint64_t> data;
+      for (uint64_t i = 0; i < kWakeRecords; ++i) {
+        data.push_back(WakeRecord(pid, e, i));
+      }
+      handle->OnNext(std::move(data));
+    }
+    handle->OnCompleted();
+    ctl.Join();
+  });
+}
+
+// Fig. 6b's notify-only barrier: every vertex requests a notification per iteration and
+// re-requests the next one from OnNotify, so each iteration is one cluster-wide progress
+// round with no data at all.
+class WakeBarrierVertex final : public UnaryVertex<uint64_t, uint64_t> {
+ public:
+  explicit WakeBarrierVertex(std::atomic<uint64_t>* notified) : notified_(notified) {}
+  void OnRecv(const Timestamp&, std::vector<uint64_t>&) override {}
+  void OnNotify(const Timestamp& t) override {
+    notified_->fetch_add(1, std::memory_order_relaxed);
+    if (t.coords.back() + 1 < kBarrierIterations) {
+      NotifyAt(t.Incremented());
+    }
+  }
+
+ private:
+  std::atomic<uint64_t>* notified_;
+};
+
+ClusterStats RunBarrierLoop(const WakeParam& param, std::atomic<uint64_t>* notified) {
+  return Cluster::Run(WakeOptions(param), [notified](Controller& ctl) {
+    GraphBuilder b(ctl);
+    auto [in, handle] = NewInput<uint64_t>(b);
+    LoopContext loop(b, 0, "barrier");
+    FeedbackHandle<uint64_t> fb = loop.NewFeedback<uint64_t>();
+    Stream<uint64_t> entered = loop.Ingress<uint64_t>(in);
+    StageId barrier = b.NewStage<WakeBarrierVertex>(
+        StageOptions{.name = "barrier",
+                     .depth = 1,
+                     .initial_notifications = {Timestamp(0, {0})}},
+        [notified](uint32_t) { return std::make_unique<WakeBarrierVertex>(notified); });
+    b.Connect<WakeBarrierVertex, uint64_t>(entered, barrier);
+    b.Connect<WakeBarrierVertex, uint64_t>(fb.stream(), barrier);
+    fb.ConnectLoop(b.OutputOf<uint64_t>(barrier));
+    ctl.Start();
+    handle->OnCompleted();
+    ctl.Join();
+  });
+}
+
+class EventDrivenProgress : public ::testing::TestWithParam<WakeParam> {};
+
+TEST_P(EventDrivenProgress, NoMissedWakeups) {
+  ClosedLoop loop;
+  const ClusterStats count_stats = RunClosedLoop(GetParam(), loop);
+  for (uint64_t e = 0; e < kWakeEpochs; ++e) {
+    std::map<uint64_t, uint64_t> want;
+    for (uint32_t pid = 0; pid < 2; ++pid) {
+      for (uint64_t i = 0; i < kWakeRecords; ++i) {
+        ++want[WakeRecord(pid, e, i)];
+      }
+    }
+    ASSERT_EQ(loop.got[e], want) << "epoch " << e;
+  }
+  EXPECT_EQ(count_stats.missed_wakeups, 0u) << "Count->Subscribe loop";
+
+  std::atomic<uint64_t> notified{0};
+  const ClusterStats barrier_stats = RunBarrierLoop(GetParam(), &notified);
+  // Two vertices (one per process), one notification per iteration each.
+  EXPECT_EQ(notified.load(), 2 * kBarrierIterations);
+  EXPECT_EQ(barrier_stats.missed_wakeups, 0u) << "barrier loop";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, EventDrivenProgress,
+    ::testing::Combine(::testing::Values(ProgressStrategy::kDirect,
+                                         ProgressStrategy::kLocalAcc,
+                                         ProgressStrategy::kGlobalAcc,
+                                         ProgressStrategy::kLocalGlobalAcc),
+                       ::testing::Values(ProgressScoping::kFlat, ProgressScoping::kScoped)),
+    [](const ::testing::TestParamInfo<WakeParam>& info) {
+      std::string name = std::string(ToString(std::get<0>(info.param))) + "_" +
+                         ToString(std::get<1>(info.param));
+      std::erase(name, '+');  // "Local+GlobalAcc" is not a valid test name
+      return name;
+    });
 
 }  // namespace
 }  // namespace naiad

@@ -1,6 +1,7 @@
 // Tests for the observability layer (src/obs): histogram bucketing and cross-block
 // merging, the disabled-registry contract, trace-ring wrap semantics, Chrome trace-event
-// output, and end-to-end metric/trace collection from a real computation.
+// output, end-to-end metric/trace collection from a real computation, and the central
+// accumulator's hold-time histogram on a two-process cluster.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/core/controller.h"
 #include "src/core/io.h"
 #include "src/core/stage.h"
+#include "src/net/cluster.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
@@ -232,6 +234,54 @@ TEST(ObsEndToEndTest, ComputationPopulatesMetricsAndTrace) {
   EXPECT_NE(json.find("\"notify\""), std::string::npos);
   EXPECT_NE(json.find("\"epoch_open\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// The central accumulator (process 0, Local+GlobalAcc) records how long each batch it
+// held waited for its flush. Every epoch's retirements from process 1 arrive on a
+// receiver thread and are held, so a multi-epoch run must record holds — and no more
+// holds than central flushes, since each flush closes at most one hold.
+TEST(ObsEndToEndTest, CentralAccumulatorRecordsHoldTime) {
+  ClusterOptions opts;
+  opts.processes = 2;
+  opts.workers_per_process = 1;
+  opts.strategy = ProgressStrategy::kLocalGlobalAcc;
+  opts.obs.metrics = true;
+  std::atomic<uint64_t> total{0};
+  const ClusterStats stats = Cluster::Run(opts, [&](Controller& ctl) {
+    GraphBuilder b(ctl);
+    auto [in, handle] = NewInput<uint64_t>(b);
+    StageId counter = b.NewStage<NotifyCountVertex>(
+        StageOptions{.name = "count", .parallelism = 1},
+        [](uint32_t) { return std::make_unique<NotifyCountVertex>(); });
+    b.Connect<NotifyCountVertex, uint64_t>(in, counter);
+    Subscribe<uint64_t>(b.OutputOf<uint64_t>(counter),
+                        [&](uint64_t, std::vector<uint64_t>& recs) {
+                          for (uint64_t v : recs) {
+                            total.fetch_add(v);
+                          }
+                        });
+    ctl.Start();
+    for (uint64_t e = 0; e < 20; ++e) {
+      handle->OnNext({e, e + 1});
+    }
+    handle->OnCompleted();
+    ctl.Join();
+  });
+  EXPECT_EQ(total.load(), 2u * 2u * 20u);  // 2 records x 2 processes x 20 epochs
+  const obs::HistogramSnapshot* hold = nullptr;
+  const obs::HistogramSnapshot* emits = nullptr;
+  for (const obs::HistogramSnapshot& h : stats.obs.histograms) {
+    if (h.name == "progress_central_hold_ns") {
+      hold = &h;
+    } else if (h.name == "progress_emit_updates") {
+      emits = &h;
+    }
+  }
+  ASSERT_NE(hold, nullptr);
+  ASSERT_NE(emits, nullptr);
+  EXPECT_GT(hold->count, 0u);
+  EXPECT_LE(hold->count, emits->count);
+  EXPECT_EQ(stats.missed_wakeups, 0u);
 }
 
 // The disabled configuration must stay disabled end to end (no trace file, no metrics).
