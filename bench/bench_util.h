@@ -198,43 +198,6 @@ inline void MachineFields(JsonReport& json) {
   json.Str("build_type", NAIAD_BENCH_BUILD_TYPE);
 }
 
-// Progress-scope accounting fields shared by the fig6c table and its JSON record: how
-// many of the emitted progress bytes were cross-scope (root-space updates that must reach
-// every process regardless of organization), how many were loop-internal, and what the
-// summarized boundary traffic plus occurrence-map footprint looked like. `cross_total` is
-// the number the scoped refactor is judged by: root-space wire bytes plus boundary-image
-// bytes (the only traffic a per-scope deployment sends across scopes).
-struct ScopeAccounting {
-  double cross_total_kb = 0;
-  double in_scope_kb = 0;
-  double boundary_kb = 0;
-  double boundary_updates = 0;
-  double occ_map_peak = 0;
-  double occ_map_peak_root = 0;
-
-  template <typename ClusterStatsT>
-  static ScopeAccounting From(const ClusterStatsT& s) {
-    ScopeAccounting a;
-    a.cross_total_kb =
-        (s.progress_cross_scope_bytes + s.progress_boundary_bytes) / 1024.0;
-    a.in_scope_kb = s.progress_in_scope_bytes / 1024.0;
-    a.boundary_kb = s.progress_boundary_bytes / 1024.0;
-    a.boundary_updates = static_cast<double>(s.progress_boundary_updates);
-    a.occ_map_peak = static_cast<double>(s.occ_map_peak);
-    a.occ_map_peak_root = static_cast<double>(s.occ_map_peak_root);
-    return a;
-  }
-
-  void AddTo(JsonReport& report) const {
-    report.Num("cross_scope_kb", cross_total_kb);
-    report.Num("in_scope_kb", in_scope_kb);
-    report.Num("boundary_kb", boundary_kb);
-    report.Num("boundary_updates", boundary_updates);
-    report.Num("occ_map_peak", occ_map_peak);
-    report.Num("occ_map_peak_root", occ_map_peak_root);
-  }
-};
-
 // Appends an observability snapshot to `report` as rows of kind "obs_counter" /
 // "obs_histogram", so the BENCH_*.json trajectory carries the metric series alongside the
 // figure's own measurements.

@@ -16,8 +16,7 @@ uint64_t VertexKey(StageId s, uint32_t index) {
 
 Controller::Controller(Config cfg)
     : cfg_(cfg),
-      tracker_(&graph_, cfg.shared_event != nullptr ? cfg.shared_event : &event_,
-               cfg.scoping),
+      tracker_(&graph_, cfg.shared_event != nullptr ? cfg.shared_event : &event_),
       local_router_(&tracker_) {
   NAIAD_CHECK(cfg_.workers_per_process > 0);
   NAIAD_CHECK(cfg_.processes > 0);
@@ -161,14 +160,11 @@ void Controller::Stop() {
   for (auto& w : workers_) {
     w->JoinThread();
   }
-  // Publish the tracker's scoping accounting into the process metrics block now that the
+  // Publish the tracker's query accounting into the process metrics block now that the
   // counters are final (workers joined).
   if (obs::ProcessMetrics* pm = obs_->metrics().process()) {
-    const ProgressScopingStats ps = tracker_.ScopingStats();
-    pm->progress_boundary_updates.store(ps.boundary_updates, std::memory_order_relaxed);
-    pm->progress_boundary_bytes.store(ps.boundary_update_bytes, std::memory_order_relaxed);
+    const ProgressTrackerStats ps = tracker_.Stats();
     pm->progress_occ_map_peak.store(ps.occ_map_peak, std::memory_order_relaxed);
-    pm->progress_occ_map_peak_root.store(ps.occ_map_peak_root, std::memory_order_relaxed);
     pm->progress_query_memo_hits.store(ps.query_memo_hits, std::memory_order_relaxed);
     pm->progress_query_scans.store(ps.query_scans, std::memory_order_relaxed);
   }

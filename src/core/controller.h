@@ -27,14 +27,8 @@ struct Config {
   uint32_t workers_per_process = 2;
   uint32_t process_id = 0;
   uint32_t processes = 1;
-  // Default stage parallelism; 0 means one vertex per worker across the cluster.
-  uint32_t default_parallelism = 0;
   // Records buffered per (connector, destination, time) before an eager flush.
   size_t batch_size = 4096;
-  // Progress-tracker organization: flat (§3.3 reference) or per-loop-scope trackers with
-  // summarized boundary propagation. Observably equivalent; scoped shrinks the root
-  // occurrence map and the cross-scope share of progress traffic.
-  ProgressScoping scoping = ProgressScoping::kFlat;
   // Observability: metrics registry and event tracer (both default-off). When
   // obs.trace_path is nonempty, Stop() writes this process's trace there; cluster runs
   // clear it per-process and write one combined file instead.
@@ -69,9 +63,8 @@ class Controller {
   const Config& config() const { return cfg_; }
 
   uint32_t total_workers() const { return cfg_.processes * cfg_.workers_per_process; }
-  uint32_t default_parallelism() const {
-    return cfg_.default_parallelism != 0 ? cfg_.default_parallelism : total_workers();
-  }
+  // Stage parallelism when a stage does not set one: one vertex per worker.
+  uint32_t default_parallelism() const { return total_workers(); }
   bool started() const { return started_; }
   bool stopping() const { return stop_.load(std::memory_order_relaxed); }
   // True once Start() has fully published the vertices and seeded notifications. External

@@ -195,64 +195,19 @@ class ProgressBuffer {
   size_t last_ = static_cast<size_t>(-1);  // slot touched by the previous Add
 };
 
-// How the tracker organizes its occurrence counts.
-//
-//   kFlat   — one global pointstamp space, exactly §3.3: every update lands in a single
-//             map and every frontier query scans the whole active set. The reference
-//             implementation.
-//   kScoped — one occurrence map per loop scope (LogicalGraph's scope tree). An update at
-//             a scope-internal location stays in that scope's map; only when the scope's
-//             activity at a pointstamp starts or stops does a *summarized* image update
-//             (loop counter projected away via the Ψ antichain onto the scope's egress
-//             exits) propagate to the parent. Frontier queries walk the query's scope
-//             chain — own scope, ancestors, and the collapsed child images — instead of
-//             the whole graph's active set.
-//
-// Equivalence (model-checked by tests/progress_scoped_model_test.cc): a chain query in
-// scoped mode blocks iff the flat scan blocks. Soundness — every image entry is
-// Apply(summary, q.time) for a real active q and a real path prefix, and Ψ from the exit
-// onward completes the path, so an image that blocks corresponds to a flat blocker.
-// Completeness — any flat blocker q outside the chain sits in some scope S whose chain
-// meets ours at an ancestor A; the q→p path must leave S through an exit e of S, the
-// projection antichain at e dominates the path's prefix summary, and PathSummary::Apply
-// is monotone w.r.t. Timestamp::PartialLeq, so the image of q at e (recursively, at A)
-// blocks whenever q does. Self-images cannot deadlock a pointstamp against itself:
-// Freeze() rejects cycles whose summary dominates the identity, so any projected image of
-// p that could loop back to p strictly advances a coordinate and fails PartialLeq.
-enum class ProgressScoping : uint8_t { kFlat, kScoped };
-
-inline const char* ToString(ProgressScoping s) {
-  return s == ProgressScoping::kFlat ? "flat" : "scoped";
-}
-
-// Wire size of one encoded ProgressUpdate (Pointstamp + i64 delta); used for the
-// cross-scope byte accounting in the router and the scoped tracker.
-inline uint64_t EncodedProgressUpdateBytes(const Pointstamp& p) {
-  return 8 + 1 + 8 * static_cast<uint64_t>(p.time.coords.size()) + 1 + 4 + 8;
-}
-
-// Accounting the scoped refactor is measured by (bench/fig6c_progress.cpp, src/obs/).
-struct ProgressScopingStats {
-  uint64_t boundary_updates = 0;       // image deltas pushed across a scope boundary
-  uint64_t boundary_update_bytes = 0;  // their encoded size, were they wire traffic
-  uint64_t query_scans = 0;            // frontier queries that walked occurrence maps
-  uint64_t query_memo_hits = 0;        // frontier queries answered by the dirty-bit memo
-  uint64_t scan_points = 0;            // pointstamps examined across all query scans
-  uint64_t occ_map_peak = 0;           // max Σ over scopes of (counts + image) entries
-  uint64_t occ_map_peak_root = 0;      // max entries in the root scope's map alone
-  uint64_t num_scopes = 1;
+// Tracker accounting, published into obs::ProcessMetrics and ClusterStats::occ_map_peak.
+struct ProgressTrackerStats {
+  uint64_t query_scans = 0;      // frontier queries that walked the occurrence map
+  uint64_t query_memo_hits = 0;  // frontier queries answered by the version-stamped memo
+  uint64_t occ_map_peak = 0;     // max entries in the occurrence map
 };
 
+// One global set of pointstamps, exactly §3.3: every update lands in a single occurrence
+// map, and a frontier query the memo cannot answer scans the whole active set.
 class ProgressTracker {
  public:
-  ProgressTracker(const LogicalGraph* graph, EventCount* event,
-                  ProgressScoping scoping = ProgressScoping::kFlat)
-      : graph_(graph), event_(event), scoping_(scoping) {
-    if (scoping_ == ProgressScoping::kFlat) {
-      scopes_.resize(1);  // the whole graph is one scope; no graph needed to place updates
-      ready_ = true;
-    }
-  }
+  ProgressTracker(const LogicalGraph* graph, EventCount* event)
+      : graph_(graph), event_(event) {}
 
   void Apply(std::span<const ProgressUpdate> updates) {
     if (updates.empty()) {
@@ -261,20 +216,14 @@ class ProgressTracker {
     EventCount::Publication pub(*event_);  // notifies once the new counts are visible
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!ready_ && !graph_->frozen()) {
-        // Scoped placement needs the frozen scope tree, but in distributed mode a peer's
-        // progress frames can race this process's startup. Stash and replay on freeze;
-        // queries are conservative (false) until then, matching flat's pre-freeze answers.
-        for (const ProgressUpdate& u : updates) {
-          pending_.push_back(u);
+      for (const ProgressUpdate& u : updates) {
+        int64_t& c = counts_[u.point];
+        c += u.delta;
+        if (c == 0) {
+          counts_.erase(u.point);
         }
-      } else {
-        EnsureReadyLocked();
-        for (const ProgressUpdate& u : updates) {
-          ApplyOneLocked(u.point, u.delta);
-        }
-        NotePeaksLocked();
       }
+      stats_.occ_map_peak = std::max<uint64_t>(stats_.occ_map_peak, counts_.size());
       version_.fetch_add(1, std::memory_order_release);
     }
   }
@@ -288,7 +237,6 @@ class ProgressTracker {
       return false;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    EnsureReadyLocked();
     return !BlockedLocked(p, /*exclude_self=*/true);
   }
 
@@ -299,80 +247,32 @@ class ProgressTracker {
       return false;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    EnsureReadyLocked();
     return !BlockedLocked(p, /*exclude_self=*/false);
   }
 
   bool Empty() const {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const ProgressUpdate& u : pending_) {
-      if (u.delta != 0) {
-        return false;
-      }
-    }
-    for (const ScopeState& s : scopes_) {
-      for (const auto& [q, count] : s.counts) {
-        if (count != 0) {
-          return false;
-        }
-      }
-    }
-    return true;
+    return counts_.empty();
   }
 
   int64_t Count(const Pointstamp& p) const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!ready_) {
-      if (graph_->frozen()) {
-        EnsureReadyLocked();
-      } else {
-        int64_t c = 0;
-        for (const ProgressUpdate& u : pending_) {
-          if (u.point == p) {
-            c += u.delta;
-          }
-        }
-        return c;
-      }
-    }
-    const ScopeState& s = scopes_[ScopeIndexLocked(p.loc)];
-    auto it = s.counts.find(p);
-    return it == s.counts.end() ? 0 : it->second;
+    auto it = counts_.find(p);
+    return it == counts_.end() ? 0 : it->second;
   }
 
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
-  // Real occurrence counts only (boundary images are derived state), merged across scopes
-  // in Pointstamp order — byte-identical to the flat tracker's snapshot, which the
-  // checkpoint format (src/ft/checkpoint.cc) relies on.
+  // Nonzero occurrence counts in Pointstamp order; the checkpoint format
+  // (src/ft/checkpoint.cc) stores this list as is.
   std::vector<std::pair<Pointstamp, int64_t>> ActiveSnapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
-    std::map<Pointstamp, int64_t> merged;
-    for (const ProgressUpdate& u : pending_) {
-      merged[u.point] += u.delta;
-      if (merged[u.point] == 0) {
-        merged.erase(u.point);
-      }
-    }
-    for (const ScopeState& s : scopes_) {
-      for (const auto& [q, count] : s.counts) {
-        merged[q] += count;
-      }
-    }
-    std::vector<std::pair<Pointstamp, int64_t>> out;
-    for (const auto& [q, count] : merged) {
-      out.emplace_back(q, count);
-    }
-    return out;
+    return {counts_.begin(), counts_.end()};
   }
 
-  ProgressScoping scoping() const { return scoping_; }
-
-  ProgressScopingStats ScopingStats() const {
+  ProgressTrackerStats Stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    ProgressScopingStats out = stats_;
-    out.num_scopes = scopes_.empty() ? 1 : scopes_.size();
-    return out;
+    return stats_;
   }
 
   // Blocks the calling (non-worker) thread until `pred`-style conditions hold; used by
@@ -394,120 +294,25 @@ class ProgressTracker {
 
  private:
   struct QueryMemo {
-    // A memoized verdict is valid while the sum of versions along the query's scope chain
-    // is unchanged — the per-scope dirty bit. Versions start at 1, so stamp 0 ≡ unset.
-    uint64_t can_stamp = 0;
-    uint64_t passed_stamp = 0;
+    // A memoized verdict is valid while version_ equals its stamp; kUnset never does.
+    static constexpr uint64_t kUnset = ~uint64_t{0};
+    uint64_t can_stamp = kUnset;
+    uint64_t passed_stamp = kUnset;
     bool can = false;
     bool passed = false;
   };
 
-  struct ScopeState {
-    std::map<Pointstamp, int64_t> counts;  // real occurrence counts at in-scope locations
-    std::map<Pointstamp, int64_t> image;   // refcounted summarized child-scope activity
-    uint64_t version = 1;                  // bumped whenever counts or image changes
-    mutable std::map<Pointstamp, QueryMemo> memo;
-  };
+  static constexpr size_t kMemoLimit = 4096;  // cleared wholesale on overflow
 
-  static constexpr size_t kMemoLimit = 4096;  // per-scope; cleared wholesale on overflow
-
-  uint32_t ScopeIndexLocked(const Location& l) const {
-    return scoping_ == ProgressScoping::kFlat ? 0 : graph_->ScopeOf(l);
-  }
-
-  // Builds the per-scope states from the frozen scope tree and replays updates that
-  // arrived before the freeze. Caller holds mu_ and has checked graph_->frozen() (or
-  // flat mode, which is ready from construction).
-  void EnsureReadyLocked() const {
-    if (ready_) {
-      return;
-    }
-    scopes_.resize(graph_->num_scopes());
-    ready_ = true;
-    std::vector<ProgressUpdate> replay = std::move(pending_);
-    pending_.clear();
-    for (const ProgressUpdate& u : replay) {
-      ApplyOneLocked(u.point, u.delta);
-    }
-    NotePeaksLocked();
-  }
-
-  void ApplyOneLocked(const Pointstamp& p, int64_t delta) const {
-    const uint32_t sc = ScopeIndexLocked(p.loc);
-    ScopeState& s = scopes_[sc];
-    auto img = s.image.find(p);
-    const bool img_pos = img != s.image.end() && img->second > 0;
-    int64_t& c = s.counts[p];
-    const bool eff_was = c > 0 || img_pos;
-    c += delta;
-    const bool eff_now = c > 0 || img_pos;
-    if (c == 0) {
-      s.counts.erase(p);
-    }
-    ++s.version;
-    if (eff_was != eff_now && scoping_ == ProgressScoping::kScoped && sc != 0) {
-      PropagateLocked(p, eff_now ? +1 : -1);
-    }
-  }
-
-  // The scope holding p.loc just transitioned between inactive and active at p: push the
-  // summarized image (loop counters projected onto the scope's exits) into the parent's
-  // image map, cascading further up on parent transitions. Depth-bounded recursion (scope
-  // parents strictly decrease in depth).
-  void PropagateLocked(const Pointstamp& p, int64_t dir) const {
-    for (const BoundaryProjection& proj : graph_->Projections(p.loc)) {
-      for (const PathSummary& ps : proj.summaries.elements()) {
-        const Pointstamp bp{ps.Apply(p.time), proj.exit};
-        ++stats_.boundary_updates;
-        stats_.boundary_update_bytes += EncodedProgressUpdateBytes(bp);
-        ImageDeltaLocked(bp, dir);
-      }
-    }
-  }
-
-  void ImageDeltaLocked(const Pointstamp& bp, int64_t dir) const {
-    const uint32_t sc = ScopeIndexLocked(bp.loc);
-    ScopeState& t = scopes_[sc];
-    auto real = t.counts.find(bp);
-    const bool real_pos = real != t.counts.end() && real->second > 0;
-    int64_t& ic = t.image[bp];
-    const bool eff_was = real_pos || ic > 0;
-    ic += dir;
-    NAIAD_CHECK(ic >= 0) << "scoped progress image refcount went negative";
-    const bool eff_now = real_pos || ic > 0;
-    if (ic == 0) {
-      t.image.erase(bp);
-    }
-    ++t.version;
-    if (eff_was != eff_now && sc != 0) {
-      PropagateLocked(bp, eff_now ? +1 : -1);
-    }
-  }
-
-  uint64_t ChainStampLocked(uint32_t sc) const {
-    uint64_t stamp = 0;
-    for (uint32_t t = sc;;) {
-      stamp += scopes_[t].version;
-      if (t == 0) {
-        return stamp;
-      }
-      t = scoping_ == ProgressScoping::kFlat ? 0 : graph_->ScopeParent(t);
-    }
-  }
-
-  // One frontier query, memoized per (pointstamp, chain version sum): scans the real
-  // counts and child images of every scope on p's chain to the root. Activity in any
-  // other scope is covered by an image at some chain ancestor; activity that changed
-  // nothing on the chain (the sibling-scope case the O(active²) rescan paid for) leaves
-  // the stamp untouched and the memoized verdict stands.
+  // One frontier query, memoized per (pointstamp, version_): a repeat query with no
+  // intervening Apply skips the O(active) scan. Apply bumps version_ under mu_, so a
+  // relaxed load here sees every bump that changed counts_.
   bool BlockedLocked(const Pointstamp& p, bool exclude_self) const {
-    const uint32_t sc = ScopeIndexLocked(p.loc);
-    const uint64_t stamp = ChainStampLocked(sc);
-    ScopeState& home = scopes_[sc];
-    if (home.memo.size() >= kMemoLimit) {
-      home.memo.clear();
+    const uint64_t stamp = version_.load(std::memory_order_relaxed);
+    if (memo_.size() >= kMemoLimit) {
+      memo_.clear();
     }
-    QueryMemo& m = home.memo[p];
+    QueryMemo& m = memo_[p];
     uint64_t& slot_stamp = exclude_self ? m.can_stamp : m.passed_stamp;
     bool& slot_verdict = exclude_self ? m.can : m.passed;
     if (slot_stamp == stamp) {
@@ -516,56 +321,24 @@ class ProgressTracker {
     }
     ++stats_.query_scans;
     bool blocked = false;
-    for (uint32_t t = sc; !blocked;) {
-      const ScopeState& s = scopes_[t];
-      for (const auto& [q, count] : s.counts) {
-        ++stats_.scan_points;
-        if (count > 0 && (!exclude_self || q != p) && graph_->CouldResultIn(q, p)) {
-          blocked = true;
-          break;
-        }
-      }
-      // Image entries represent distinct pointstamps inside child scopes, never p itself,
-      // so the exclude_self carve-out does not apply to them.
-      for (auto it = s.image.begin(); !blocked && it != s.image.end(); ++it) {
-        ++stats_.scan_points;
-        if (it->second > 0 && graph_->CouldResultIn(it->first, p)) {
-          blocked = true;
-        }
-      }
-      if (t == 0) {
+    for (const auto& [q, count] : counts_) {
+      if (count > 0 && (!exclude_self || q != p) && graph_->CouldResultIn(q, p)) {
+        blocked = true;
         break;
       }
-      t = scoping_ == ProgressScoping::kFlat ? 0 : graph_->ScopeParent(t);
     }
     slot_stamp = stamp;
     slot_verdict = blocked;
     return blocked;
   }
 
-  void NotePeaksLocked() const {
-    uint64_t total = 0;
-    for (const ScopeState& s : scopes_) {
-      total += s.counts.size() + s.image.size();
-    }
-    stats_.occ_map_peak = std::max(stats_.occ_map_peak, total);
-    if (!scopes_.empty()) {
-      stats_.occ_map_peak_root = std::max(
-          stats_.occ_map_peak_root,
-          static_cast<uint64_t>(scopes_[0].counts.size() + scopes_[0].image.size()));
-    }
-  }
-
   const LogicalGraph* graph_;
   EventCount* event_;
-  const ProgressScoping scoping_;
   mutable std::mutex mu_;
-  // Mutable: queries lazily build the scope states after the freeze and update the memo
-  // and stats; all under mu_, same concurrency profile as the flat tracker.
-  mutable bool ready_ = false;
-  mutable std::vector<ScopeState> scopes_;
-  mutable std::vector<ProgressUpdate> pending_;  // pre-freeze arrivals (scoped mode only)
-  mutable ProgressScopingStats stats_;
+  std::map<Pointstamp, int64_t> counts_;  // nonzero occurrence counts (§3.3)
+  // Mutable: queries update the memo and stats, under mu_.
+  mutable std::map<Pointstamp, QueryMemo> memo_;
+  mutable ProgressTrackerStats stats_;
   std::atomic<uint64_t> version_{0};
 };
 

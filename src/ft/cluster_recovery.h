@@ -86,9 +86,7 @@ struct ClusterRunConfig {
   uint32_t processes = 3;
   uint32_t workers_per_process = 2;
   ProgressStrategy strategy = ProgressStrategy::kLocalGlobalAcc;
-  ProgressScoping scoping = ProgressScoping::kFlat;
   size_t batch_size = 4096;
-  uint32_t default_parallelism = 0;
   uint64_t total_epochs = 6;
   // A cluster checkpoint runs after epoch e when (e+1) % checkpoint_every == 0, and always
   // after the final epoch (so the final state is always on disk for comparison).
@@ -115,8 +113,8 @@ struct ClusterRunConfig {
   // failed write, or lease expiry. The detector-driven CI rows run with this off.
   bool supervisor_hint = true;
   // Checkpoint GC: retain the newest K committed images per process slot, unlinking
-  // older ones only after a newer commit (see ClusterOptions::checkpoint_retain).
-  // 0 = keep everything.
+  // older ones only after a newer commit lands, so a crash between commit and GC leaves
+  // extra images, never too few. 0 = keep everything.
   uint32_t checkpoint_retain = 2;
 };
 

@@ -155,10 +155,6 @@ CheckpointReadResult ReadCheckpointFileEx(const std::string& path) {
   return res;
 }
 
-std::vector<uint8_t> ReadCheckpointFile(const std::string& path) {
-  return ReadCheckpointFileEx(path).image;
-}
-
 namespace {
 
 // Pipe records: one tag byte + u64 epoch, written atomically (well under PIPE_BUF).

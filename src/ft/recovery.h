@@ -49,9 +49,6 @@ struct CheckpointReadResult {
 // Reads and verifies a previously published image (see CheckpointReadStatus).
 CheckpointReadResult ReadCheckpointFileEx(const std::string& path);
 
-// Legacy wrapper: the verified image, or empty for every non-kOk outcome.
-std::vector<uint8_t> ReadCheckpointFile(const std::string& path);
-
 class KillRecoverDriver {
  public:
   // The child's reporting channel back to the driver (a pipe). The child announces when it

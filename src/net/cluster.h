@@ -80,9 +80,7 @@ struct ClusterOptions {
   uint32_t processes = 2;
   uint32_t workers_per_process = 2;
   ProgressStrategy strategy = ProgressStrategy::kLocalGlobalAcc;
-  ProgressScoping scoping = ProgressScoping::kFlat;
   size_t batch_size = 4096;
-  uint32_t default_parallelism = 0;
   // Optional fault-injection plan (src/testing/fault.h); must outlive the run. Faults are
   // schedule perturbations only — results must be identical to a fault-free run.
   ClusterFaultPlan* fault_plan = nullptr;
@@ -101,13 +99,7 @@ struct ClusterOptions {
   uint32_t heartbeat_interval_ms = 0;  // keeper emits kCtlHeartbeat every interval
   uint32_t heartbeat_timeout_ms = 0;   // lease: silence beyond this declares the peer down
   size_t max_send_queue_bytes = 0;     // per-link bound on queued data bytes (0 = none)
-  size_t max_send_queue_frames = 0;    // per-link bound on queued data frames (0 = none)
   size_t credit_window_bytes = 0;      // max unconsumed data bytes in flight (0 = none)
-  bool shed_data = false;              // full queue: shed-and-count instead of blocking
-  // Checkpoint GC: how many committed cluster-checkpoint images to retain per process
-  // slot (the newest K). Older images are unlinked only after a newer commit lands, so a
-  // crash between commit and GC leaves extra images, never too few. 0 = keep everything.
-  uint32_t checkpoint_retain = 2;
 };
 
 struct ClusterStats {
@@ -118,17 +110,7 @@ struct ClusterStats {
   uint64_t reconnects = 0;         // link resets survived (fault injection)
   uint64_t recoveries = 0;         // coordinated cluster restarts survived (§3.4)
   uint64_t checkpoint_epochs = 0;  // cluster checkpoint epochs committed to the manifest
-  // Scope attribution of the progress traffic (see DistributedProgressRouter): bytes of
-  // emitted updates whose pointstamps live in the root space, bytes of loop-internal
-  // updates a per-scope deployment would keep local, and the summarized boundary deltas
-  // (ProgressTracker::ScopingStats) that would cross instead. In flat mode everything is
-  // cross-scope and boundary bytes are zero.
-  uint64_t progress_cross_scope_bytes = 0;
-  uint64_t progress_in_scope_bytes = 0;
-  uint64_t progress_boundary_bytes = 0;
-  uint64_t progress_boundary_updates = 0;
   uint64_t occ_map_peak = 0;       // Σ over processes of the trackers' occurrence peaks
-  uint64_t occ_map_peak_root = 0;  // same, root scope only (== occ_map_peak when flat)
   double elapsed_seconds = 0;
   // Merged metrics across all processes; empty unless opts.obs.metrics was set.
   obs::ObsSnapshot obs;
@@ -159,7 +141,6 @@ struct ClusterStats {
   uint64_t heartbeats_received = 0;
   uint64_t peers_declared_down = 0;    // lease expiries the detectors declared
   uint64_t credit_stalls = 0;          // data sends that blocked on queue room / credit
-  uint64_t frames_shed = 0;            // data frames dropped under shed_data
   uint64_t send_queue_hwm_bytes = 0;   // max over processes of peak per-link queued bytes
   // Host parks that timed out and whose next pass then ran work or flushed held progress
   // with no notify announcing it (WakeupAudit in src/base/event_count.h). Zero unless a
@@ -167,11 +148,6 @@ struct ClusterStats {
   // by design and count here.
   uint64_t missed_wakeups = 0;
 };
-
-// Reads NAIAD_PROGRESS_SCOPING ("flat" / "scoped"); the sweep tests and the CI matrix use
-// it to run the same binaries under both progress organizations.
-ProgressScoping ProgressScopingFromEnv(
-    ProgressScoping def = ProgressScoping::kFlat);
 
 // Per-process cluster control plane: the termination barrier, the checkpoint quiet-point
 // barrier, and failure/recovery signalling, all over kControl frames. One instance per

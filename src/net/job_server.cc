@@ -174,9 +174,7 @@ void JobServer::Start() {
     policy.heartbeat_interval_ms = opts_.heartbeat_interval_ms;
     policy.heartbeat_timeout_ms = opts_.heartbeat_timeout_ms;
     policy.max_queue_bytes = opts_.max_send_queue_bytes;
-    policy.max_queue_frames = opts_.max_send_queue_frames;
     policy.credit_window_bytes = opts_.credit_window_bytes;
-    policy.shed_data = opts_.shed_data;
     ps->transport->SetLinkPolicy(policy);
     ports[p] = ps->transport->Listen();
     procs_.push_back(std::move(ps));
@@ -339,8 +337,6 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
   cfg.processes = opts_.processes;
   cfg.workers_per_process = opts_.workers_per_process;
   cfg.batch_size = opts_.batch_size;
-  cfg.default_parallelism = opts_.default_parallelism;
-  cfg.scoping = opts_.scoping;
   cfg.obs = opts_.obs;
   cfg.obs.trace_path.clear();  // the server writes one combined file at Stop()
   cfg.shared_event = &ps.event;
@@ -460,13 +456,7 @@ void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
     js.progress_frames += frames(FrameType::kProgress) + frames(FrameType::kProgressAcc);
     js.progress_bytes += bytes(FrameType::kProgress) + bytes(FrameType::kProgressAcc);
     js.torn_down = js.torn_down || torn;
-    agg_.progress_cross_scope_bytes += ctx->router->cross_scope_update_bytes();
-    agg_.progress_in_scope_bytes += ctx->router->in_scope_update_bytes();
-    const ProgressScopingStats s = ctx->ctl->tracker().ScopingStats();
-    agg_.progress_boundary_bytes += s.boundary_update_bytes;
-    agg_.progress_boundary_updates += s.boundary_updates;
-    agg_.occ_map_peak += s.occ_map_peak;
-    agg_.occ_map_peak_root += s.occ_map_peak_root;
+    occ_map_peak_ += ctx->ctl->tracker().Stats().occ_map_peak;
     if (opts_.obs.metrics) {
       // The job's workers are quiescent (exclusive acquisition above) and its blocks are
       // final; merge them now so the context can be dropped.
@@ -605,7 +595,6 @@ ClusterStats JobServer::Stop() {
     stats.heartbeats_received += t.heartbeats_received();
     stats.peers_declared_down += t.peers_declared_down();
     stats.credit_stalls += t.credit_stalls();
-    stats.frames_shed += t.frames_shed();
     stats.send_queue_hwm_bytes = std::max(stats.send_queue_hwm_bytes,
                                           t.send_queue_hwm_bytes());
     stats.stray_frames_dropped += ps->stray_dropped.load(std::memory_order_relaxed);
@@ -621,12 +610,7 @@ ClusterStats JobServer::Stop() {
   }
   {
     std::lock_guard<std::mutex> lock(done_mu_);
-    stats.progress_cross_scope_bytes = agg_.progress_cross_scope_bytes;
-    stats.progress_in_scope_bytes = agg_.progress_in_scope_bytes;
-    stats.progress_boundary_bytes = agg_.progress_boundary_bytes;
-    stats.progress_boundary_updates = agg_.progress_boundary_updates;
-    stats.occ_map_peak = agg_.occ_map_peak;
-    stats.occ_map_peak_root = agg_.occ_map_peak_root;
+    stats.occ_map_peak = occ_map_peak_;
     for (const auto& [id, js] : job_stats_) {
       stats.jobs.push_back(js);
     }

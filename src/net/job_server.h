@@ -130,7 +130,7 @@ class JobServer {
   std::condition_variable done_cv_;
   std::map<JobId, uint32_t> retired_count_;
   std::map<JobId, ClusterStats::JobStats> job_stats_;
-  ClusterStats agg_;  // scope-byte / occ-peak fields, accumulated as jobs retire
+  uint64_t occ_map_peak_ = 0;  // Σ of retired jobs' tracker occurrence peaks
   obs::SnapshotBuilder snapshot_builder_;
 };
 

@@ -22,23 +22,6 @@ std::vector<ProgressUpdate> DistributedProgressRouter::DecodeUpdates(
   return ups;
 }
 
-void DistributedProgressRouter::AccountScopes(const std::vector<ProgressUpdate>& updates) {
-  const bool scoped = ctl_->config().scoping == ProgressScoping::kScoped &&
-                      ctl_->graph().frozen();
-  uint64_t cross = 0;
-  uint64_t in_scope = 0;
-  for (const ProgressUpdate& u : updates) {
-    const uint64_t bytes = EncodedProgressUpdateBytes(u.point);
-    if (scoped && ctl_->graph().ScopeOf(u.point.loc) != 0) {
-      in_scope += bytes;
-    } else {
-      cross += bytes;
-    }
-  }
-  cross_scope_update_bytes_.fetch_add(cross, std::memory_order_relaxed);
-  in_scope_update_bytes_.fetch_add(in_scope, std::memory_order_relaxed);
-}
-
 void DistributedProgressRouter::Broadcast(std::vector<ProgressUpdate> updates) {
   Accumulate(std::move(updates), /*from_worker=*/false);
 }
@@ -117,7 +100,6 @@ void DistributedProgressRouter::Emit(std::vector<ProgressUpdate> updates) {
   if (obs::ProcessMetrics* m = ctl_->obs().metrics().process()) {
     m->progress_emit_updates.Record(updates.size());
   }
-  AccountScopes(updates);
   std::vector<uint8_t> payload = EncodeUpdates(updates);
   const bool to_central = strategy_ == ProgressStrategy::kGlobalAcc ||
                           strategy_ == ProgressStrategy::kLocalGlobalAcc;
@@ -139,7 +121,6 @@ void DistributedProgressRouter::EmitFromCentral(std::vector<ProgressUpdate> upda
   if (obs::ProcessMetrics* m = ctl_->obs().metrics().process()) {
     m->progress_emit_updates.Record(updates.size());
   }
-  AccountScopes(updates);
   std::vector<uint8_t> payload = EncodeUpdates(updates);
   transport_->BroadcastFrame(FrameType::kProgress, payload, /*include_self=*/true, job_,
                              acct_);

@@ -113,21 +113,6 @@ class DistributedProgressRouter final : public ProgressRouter {
   // notifications) before it has applied the +1s.
   bool Empty() const;
 
-  // Scope attribution of the emitted updates (bench/fig6c accounting). An update is
-  // cross-scope when its pointstamp lives in the root space — it must reach every
-  // process's global tracker no matter how progress is organized. An update at a loop-
-  // internal location is in-scope: under scoped tracking its occurrence count lives in a
-  // per-scope map and only the (cheaper) summarized boundary deltas, counted by
-  // ProgressTracker::ScopingStats, would cross; the flat broadcast carrying it anyway is
-  // precisely the overhead §3.3's single space pays. Flat mode attributes everything
-  // cross-scope, so flat numbers are the whole-protocol baseline.
-  uint64_t cross_scope_update_bytes() const {
-    return cross_scope_update_bytes_.load(std::memory_order_relaxed);
-  }
-  uint64_t in_scope_update_bytes() const {
-    return in_scope_update_bytes_.load(std::memory_order_relaxed);
-  }
-
   // Wire form of a progress-update batch; the selective-recovery seed exchange
   // (ClusterControl::RunSeedExchange) reuses it for kCtlSeedState payloads.
   static std::vector<uint8_t> EncodeUpdates(const std::vector<ProgressUpdate>& ups);
@@ -135,8 +120,6 @@ class DistributedProgressRouter final : public ProgressRouter {
 
  private:
   bool IsCentral() const { return ctl_->config().process_id == 0; }
-
-  void AccountScopes(const std::vector<ProgressUpdate>& updates);
 
   // Serializes and emits `updates` one level up: to all processes (direct) or to the
   // central accumulator, depending on the strategy.
@@ -177,9 +160,6 @@ class DistributedProgressRouter final : public ProgressRouter {
   uint64_t central_hold_start_ns_ = 0;  // first update into central_buf_ (metrics only)
 
   std::atomic<uint64_t> held_generation_{0};
-
-  std::atomic<uint64_t> cross_scope_update_bytes_{0};
-  std::atomic<uint64_t> in_scope_update_bytes_{0};
 };
 
 }  // namespace naiad

@@ -182,8 +182,7 @@ void TcpTransport::Send(uint32_t dst, FrameType type, std::vector<uint8_t> paylo
     // termination/checkpoint barriers that keep the cluster live.
     const bool flow_controlled =
         type == FrameType::kData &&
-        (policy_.max_queue_bytes != 0 || policy_.max_queue_frames != 0 ||
-         policy_.credit_window_bytes != 0);
+        (policy_.max_queue_bytes != 0 || policy_.credit_window_bytes != 0);
     if (flow_controlled) {
       // Room exists when every configured bound admits the frame. A frame larger than a
       // bound is admitted alone (queue empty of data / window empty) so an oversized
@@ -194,10 +193,6 @@ void TcpTransport::Send(uint32_t dst, FrameType type, std::vector<uint8_t> paylo
         }
         if (policy_.max_queue_bytes != 0 && link.queued_data_frames != 0 &&
             link.queued_data_bytes + frame_bytes > policy_.max_queue_bytes) {
-          return false;
-        }
-        if (policy_.max_queue_frames != 0 &&
-            link.queued_data_frames >= policy_.max_queue_frames) {
           return false;
         }
         if (policy_.credit_window_bytes != 0) {

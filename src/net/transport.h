@@ -79,7 +79,6 @@ struct LinkPolicy {
   // keep the cluster live). Bounds cover bytes queued or in the current gathered write.
   // 0 = unbounded (the pre-policy behavior).
   size_t max_queue_bytes = 0;
-  size_t max_queue_frames = 0;
   // Credit window: max data wire bytes in flight to a peer (enqueued here but not yet
   // consumed by its receiver, per the grants its heartbeats carry). Needs heartbeats
   // enabled on the peer; throughput is capped near window/interval. 0 = unlimited.

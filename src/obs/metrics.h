@@ -180,13 +180,10 @@ struct alignas(64) ProcessMetrics {
   std::atomic<uint64_t> cluster_checkpoints{0};  // committed cluster checkpoint epochs
   std::atomic<uint64_t> cluster_recoveries{0};   // coordinated restarts participated in
 
-  // Scoped progress tracking (ProgressTracker::ScopingStats, stored once at Stop()).
-  std::atomic<uint64_t> progress_boundary_updates{0};  // image deltas crossing a scope
-  std::atomic<uint64_t> progress_boundary_bytes{0};    // their encoded size
-  std::atomic<uint64_t> progress_occ_map_peak{0};      // Σ scopes' occurrence-map peak
-  std::atomic<uint64_t> progress_occ_map_peak_root{0};  // root scope's map peak alone
-  std::atomic<uint64_t> progress_query_memo_hits{0};   // frontier queries memo-answered
-  std::atomic<uint64_t> progress_query_scans{0};       // frontier queries that scanned
+  // Progress tracker accounting (ProgressTracker::Stats, stored once at Stop()).
+  std::atomic<uint64_t> progress_occ_map_peak{0};     // occurrence-map peak
+  std::atomic<uint64_t> progress_query_memo_hits{0};  // frontier queries memo-answered
+  std::atomic<uint64_t> progress_query_scans{0};      // frontier queries that scanned
 
   // Selective rollback recovery (src/ft/log_recovery.h).
   std::atomic<uint64_t> selective_recoveries{0};     // survivor-preserving restarts
@@ -253,14 +250,8 @@ class Metrics {
               process_.cluster_checkpoints.load(std::memory_order_relaxed));
     b.Counter("cluster_recoveries",
               process_.cluster_recoveries.load(std::memory_order_relaxed));
-    b.Counter("progress_boundary_updates",
-              process_.progress_boundary_updates.load(std::memory_order_relaxed));
-    b.Counter("progress_boundary_bytes",
-              process_.progress_boundary_bytes.load(std::memory_order_relaxed));
     b.Counter("progress_occ_map_peak",
               process_.progress_occ_map_peak.load(std::memory_order_relaxed));
-    b.Counter("progress_occ_map_peak_root",
-              process_.progress_occ_map_peak_root.load(std::memory_order_relaxed));
     b.Counter("progress_query_memo_hits",
               process_.progress_query_memo_hits.load(std::memory_order_relaxed));
     b.Counter("progress_query_scans",

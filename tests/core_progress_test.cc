@@ -124,41 +124,23 @@ TEST_F(ProgressTrackerTest, VersionAdvancesOnApply) {
   EXPECT_GT(tracker.version(), v0);
 }
 
-// The scoped tracker organized over the same LoopGraph must agree with flat on the
-// fixture's canonical frontier facts (the model sweep in progress_scoped_model_test.cc
-// covers randomized schedules; this pins the basics with readable assertions).
-class ScopedProgressTrackerTest : public ::testing::Test {
- protected:
-  LoopGraph lg;
-  EventCount ev;
-  ProgressTracker tracker{&lg.g, &ev, ProgressScoping::kScoped};
-
-  void Apply(const Pointstamp& p, int64_t d) {
-    ProgressUpdate u{p, d};
-    tracker.Apply(std::span<const ProgressUpdate>(&u, 1));
-  }
-};
-
-TEST_F(ScopedProgressTrackerTest, LoopActivityBlocksDownstreamThroughBoundaryImage) {
+TEST_F(ProgressTrackerTest, LoopActivityBlocksDownstream) {
   Apply({T(0, {3}), Location::Stage(lg.body)}, +1);
-  // The loop-internal pointstamp lives in the child scope; the root query sees it only
-  // through the summarized image at the egress output connector.
   EXPECT_FALSE(tracker.CanDeliver({T(0), Location::Stage(lg.out)}));
   EXPECT_TRUE(tracker.CanDeliver({T(0), Location::Stage(lg.in)}));  // upstream unaffected
-  EXPECT_GT(tracker.ScopingStats().boundary_updates, 0u);
   Apply({T(0, {3}), Location::Stage(lg.body)}, -1);
   EXPECT_TRUE(tracker.CanDeliver({T(0), Location::Stage(lg.out)}));
   EXPECT_TRUE(tracker.Empty());
 }
 
-TEST_F(ScopedProgressTrackerTest, RootActivityBlocksIntoTheLoop) {
+TEST_F(ProgressTrackerTest, RootActivityBlocksIntoTheLoop) {
   Apply({T(0), Location::Connector(lg.in_ing)}, +1);
   EXPECT_FALSE(tracker.CanDeliver({T(0, {0}), Location::Stage(lg.body)}));
   Apply({T(0), Location::Connector(lg.in_ing)}, -1);
   EXPECT_TRUE(tracker.CanDeliver({T(0, {0}), Location::Stage(lg.body)}));
 }
 
-TEST_F(ScopedProgressTrackerTest, TransientNegativeInsideLoopStaysInactive) {
+TEST_F(ProgressTrackerTest, TransientNegativeInsideLoopStaysInactive) {
   Apply({T(0, {1}), Location::Stage(lg.body)}, -1);
   EXPECT_FALSE(tracker.Empty());
   EXPECT_TRUE(tracker.CanDeliver({T(0), Location::Stage(lg.out)}));
@@ -211,64 +193,27 @@ struct TwoLoopGraph {
   }
 };
 
-// Regression for the O(active²) frontier rescan: a repeated query must be answered from
-// the per-scope memo (no new scan), and — the scoped payoff — an update in a *sibling*
-// scope that does not change that scope's boundary image must leave the memo valid.
-// Only an update touching a scope on the query's chain invalidates it.
-TEST(ScopedDirtyBitTest, SiblingScopeUpdatesDoNotInvalidateFrontierQueries) {
+// Repeated frontier queries with no intervening Apply are served from the memo; the
+// next Apply invalidates it.
+TEST(ProgressTrackerMemoTest, MemoizesRepeatQueries) {
   TwoLoopGraph tg;
   EventCount ev;
-  ProgressTracker tracker{&tg.g, &ev, ProgressScoping::kScoped};
-  auto apply = [&](const Pointstamp& p, int64_t d) {
-    ProgressUpdate u{p, d};
-    tracker.Apply(std::span<const ProgressUpdate>(&u, 1));
-  };
-  const Pointstamp pa{Timestamp(0, {0}), Location::Stage(tg.bodyA)};
-  const Pointstamp pb{Timestamp(0, {0}), Location::Stage(tg.bodyB)};
-
-  // Activate loop A; its image lands at the egress-A output connector in the root scope.
-  apply(pa, +1);
-  ASSERT_FALSE(tracker.CanDeliver(pb));  // loop A upstream of loop B ⇒ blocked
-  const uint64_t scans_after_first = tracker.ScopingStats().query_scans;
-  ASSERT_GE(scans_after_first, 1u);
-
-  // Same query again: memo hit, no new scan.
-  ASSERT_FALSE(tracker.CanDeliver(pb));
-  EXPECT_EQ(tracker.ScopingStats().query_scans, scans_after_first);
-  EXPECT_GE(tracker.ScopingStats().query_memo_hits, 1u);
-
-  // A second occurrence at the already-active pa changes only loop A's internal count —
-  // no boundary transition, nothing on B's chain (scope B, root) moved. The memoized
-  // verdict must stand without a rescan. (The flat tracker rescans here: any update
-  // dirties its single global scope.)
-  apply(pa, +1);
-  ASSERT_FALSE(tracker.CanDeliver(pb));
-  EXPECT_EQ(tracker.ScopingStats().query_scans, scans_after_first)
-      << "sibling-scope update invalidated an unrelated frontier query";
-
-  // Draining loop A removes its boundary image from the root — which IS on B's chain —
-  // so the next query rescans and the frontier moves.
-  apply(pa, -1);
-  apply(pa, -1);
-  ASSERT_TRUE(tracker.CanDeliver(pb));
-  EXPECT_GT(tracker.ScopingStats().query_scans, scans_after_first);
-}
-
-// Flat mode gets the same memoization with a single scope: repeated queries with no
-// intervening Apply are served from the memo.
-TEST(ScopedDirtyBitTest, FlatModeMemoizesRepeatQueries) {
-  TwoLoopGraph tg;
-  EventCount ev;
-  ProgressTracker tracker{&tg.g, &ev, ProgressScoping::kFlat};
+  ProgressTracker tracker{&tg.g, &ev};
   ProgressUpdate u{{Timestamp(0, {0}), Location::Stage(tg.bodyA)}, +1};
   tracker.Apply(std::span<const ProgressUpdate>(&u, 1));
   const Pointstamp pb{Timestamp(0, {0}), Location::Stage(tg.bodyB)};
   ASSERT_FALSE(tracker.CanDeliver(pb));
-  const uint64_t scans = tracker.ScopingStats().query_scans;
+  const uint64_t scans = tracker.Stats().query_scans;
   ASSERT_FALSE(tracker.CanDeliver(pb));
   ASSERT_FALSE(tracker.CanDeliver(pb));
-  EXPECT_EQ(tracker.ScopingStats().query_scans, scans);
-  EXPECT_GE(tracker.ScopingStats().query_memo_hits, 2u);
+  EXPECT_EQ(tracker.Stats().query_scans, scans);
+  EXPECT_GE(tracker.Stats().query_memo_hits, 2u);
+  // Draining loop A must invalidate the memoized verdict: the query rescans and the
+  // frontier moves.
+  u.delta = -1;
+  tracker.Apply(std::span<const ProgressUpdate>(&u, 1));
+  EXPECT_TRUE(tracker.CanDeliver(pb));
+  EXPECT_GT(tracker.Stats().query_scans, scans);
 }
 
 TEST(ProgressBufferTest, CombinesAndOrdersPositivesFirst) {

@@ -400,14 +400,23 @@ TEST(KillRecoverTest, RecoveredRunMatchesCleanRunByteForByte) {
     ASSERT_TRUE(outcome.forked) << "seed " << seed;
 
     // Recovery: restore from whatever image survived on disk (possibly none, if the
-    // kill landed before the first checkpoint was durable) and replay the rest.
-    std::vector<uint8_t> surviving = ReadCheckpointFile(ckpt);
+    // kill landed before the first checkpoint was durable) and replay the rest. Images
+    // are published atomically, so the file is either absent or intact.
+    CheckpointReadResult surviving = ReadCheckpointFileEx(ckpt);
+    if (outcome.any_durable) {
+      ASSERT_TRUE(surviving.ok()) << "seed " << seed;
+    } else {
+      ASSERT_TRUE(surviving.ok() || surviving.status == CheckpointReadStatus::kAbsent)
+          << "seed " << seed;
+    }
     std::vector<uint8_t> final_image;
     {
       MinPipeline p(2);
       uint64_t first_epoch = 0;
-      if (!surviving.empty()) {
-        std::vector<InputEpochs> inputs = RestoreProcess(p.ctl, std::move(surviving));
+      if (surviving.ok()) {
+        ASSERT_FALSE(surviving.image.empty()) << "seed " << seed;
+        std::vector<InputEpochs> inputs =
+            RestoreProcess(p.ctl, std::move(surviving.image));
         ASSERT_EQ(inputs.size(), 1u) << "seed " << seed;
         p.handle->RestoreEpoch(inputs[0].next_epoch, inputs[0].closed);
         first_epoch = inputs[0].next_epoch;
@@ -490,7 +499,9 @@ TEST(CheckpointFileTest, PublishedImageRoundTripsAndOverwrites) {
   const size_t fds_before = OpenFdCount();
   const std::vector<uint8_t> first = {9, 8, 7, 6, 5};
   ASSERT_TRUE(WriteCheckpointFile(path, first));
-  EXPECT_EQ(ReadCheckpointFile(path), first);
+  CheckpointReadResult r = ReadCheckpointFileEx(path);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.image, first);
   // Republishing replaces the image atomically (the kill/recover path overwrites the
   // same name every epoch) and leaves no temp file.
   std::vector<uint8_t> second(300);
@@ -498,7 +509,9 @@ TEST(CheckpointFileTest, PublishedImageRoundTripsAndOverwrites) {
     second[i] = static_cast<uint8_t>(i * 7);
   }
   ASSERT_TRUE(WriteCheckpointFile(path, second));
-  EXPECT_EQ(ReadCheckpointFile(path), second);
+  r = ReadCheckpointFileEx(path);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.image, second);
   struct stat st;
   EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);
   EXPECT_EQ(OpenFdCount(), fds_before);

@@ -22,7 +22,6 @@
 #include <random>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "src/core/io.h"
@@ -361,7 +360,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MultiJobSweep, ::testing::Range(uint64_t{0}, uin
 // so a parked host never sleeps out its idle timeout while work waits. The hosts audit
 // each park (WakeupAudit): one that times out and is followed by a pass that runs work or
 // flushes held progress is a missed wakeup. These loops alternate between every process
-// parking and a progress round trip waking it, for every strategy and scoping, and
+// parking and a progress round trip waking it, for every strategy, and
 // require zero missed wakeups. No wall-clock bound: a missed wakeup fails the count, not a
 // latency threshold. Fault-plan runs are exempt by design — there BeforeIdleFlush defers
 // idle flushes and relies on the timeout to retry them.
@@ -371,14 +370,11 @@ constexpr uint64_t kWakeRecords = 8;  // per process per epoch
 constexpr uint64_t kWakeKeys = 16;
 constexpr uint64_t kBarrierIterations = 200;
 
-using WakeParam = std::tuple<ProgressStrategy, ProgressScoping>;
-
-ClusterOptions WakeOptions(const WakeParam& param) {
+ClusterOptions WakeOptions(ProgressStrategy strategy) {
   ClusterOptions opts;
   opts.processes = 2;
   opts.workers_per_process = 1;
-  opts.strategy = std::get<0>(param);
-  opts.scoping = std::get<1>(param);
+  opts.strategy = strategy;
   return opts;
 }
 
@@ -396,8 +392,8 @@ struct ClosedLoop {
   std::map<uint64_t, std::map<uint64_t, uint64_t>> got;  // epoch -> key -> count
 };
 
-ClusterStats RunClosedLoop(const WakeParam& param, ClosedLoop& loop) {
-  return Cluster::Run(WakeOptions(param), [&loop](Controller& ctl) {
+ClusterStats RunClosedLoop(ProgressStrategy strategy, ClosedLoop& loop) {
+  return Cluster::Run(WakeOptions(strategy), [&loop](Controller& ctl) {
     GraphBuilder b(ctl);
     auto [in, handle] = NewInput<uint64_t>(b);
     StageId count = b.NewStage<CountPerKeyVertex>(
@@ -451,8 +447,8 @@ class WakeBarrierVertex final : public UnaryVertex<uint64_t, uint64_t> {
   std::atomic<uint64_t>* notified_;
 };
 
-ClusterStats RunBarrierLoop(const WakeParam& param, std::atomic<uint64_t>* notified) {
-  return Cluster::Run(WakeOptions(param), [notified](Controller& ctl) {
+ClusterStats RunBarrierLoop(ProgressStrategy strategy, std::atomic<uint64_t>* notified) {
+  return Cluster::Run(WakeOptions(strategy), [notified](Controller& ctl) {
     GraphBuilder b(ctl);
     auto [in, handle] = NewInput<uint64_t>(b);
     LoopContext loop(b, 0, "barrier");
@@ -472,7 +468,7 @@ ClusterStats RunBarrierLoop(const WakeParam& param, std::atomic<uint64_t>* notif
   });
 }
 
-class EventDrivenProgress : public ::testing::TestWithParam<WakeParam> {};
+class EventDrivenProgress : public ::testing::TestWithParam<ProgressStrategy> {};
 
 TEST_P(EventDrivenProgress, NoMissedWakeups) {
   ClosedLoop loop;
@@ -497,14 +493,10 @@ TEST_P(EventDrivenProgress, NoMissedWakeups) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, EventDrivenProgress,
-    ::testing::Combine(::testing::Values(ProgressStrategy::kDirect,
-                                         ProgressStrategy::kLocalAcc,
-                                         ProgressStrategy::kGlobalAcc,
-                                         ProgressStrategy::kLocalGlobalAcc),
-                       ::testing::Values(ProgressScoping::kFlat, ProgressScoping::kScoped)),
-    [](const ::testing::TestParamInfo<WakeParam>& info) {
-      std::string name = std::string(ToString(std::get<0>(info.param))) + "_" +
-                         ToString(std::get<1>(info.param));
+    ::testing::Values(ProgressStrategy::kDirect, ProgressStrategy::kLocalAcc,
+                      ProgressStrategy::kGlobalAcc, ProgressStrategy::kLocalGlobalAcc),
+    [](const ::testing::TestParamInfo<ProgressStrategy>& info) {
+      std::string name = ToString(info.param);
       std::erase(name, '+');  // "Local+GlobalAcc" is not a valid test name
       return name;
     });
