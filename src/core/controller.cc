@@ -127,16 +127,21 @@ void Controller::Start() {
     ReceiveRemoteBundle(f);
   }
 
-  // In job-server mode the server's shared host threads drive the workers via RunPass();
-  // spawning per-job threads here would defeat the sharing. The flag gates those hosts
-  // off the workers until the seeding above is fully published.
+  // The flag gates every host off the workers until the seeding above is fully
+  // published. In job-server mode the server's shared hosts drive the workers; spawning
+  // hosts here would defeat the sharing.
   {
     EventCount::Publication pub(event());
     workers_live_.store(true, std::memory_order_release);
   }
-  if (!cfg_.external_workers) {
-    for (auto& w : workers_) {
-      w->Start();
+  if (cfg_.shared_event == nullptr) {
+    const ControllerList self = [this](const auto& visit) {
+      visit(*this);
+      return uint64_t{0};
+    };
+    for (uint32_t k = 0; k < cfg_.workers_per_process; ++k) {
+      hosts_.emplace_back(
+          [this, k, self] { RunWorkerHost(k, event_, stop_, self, missed_wakeups_); });
     }
   }
 }
@@ -154,14 +159,17 @@ void Controller::Stop() {
   if (stop_.exchange(true)) {
     return;
   }
-  for (auto& w : workers_) {
-    w->RequestStop();
+  event().NotifyAll();
+  if (workers_live()) {
+    AwaitWorkers([&] {
+      return workers_finished_.load(std::memory_order_acquire) == cfg_.workers_per_process;
+    });
   }
-  for (auto& w : workers_) {
-    w->JoinThread();
+  for (std::thread& t : hosts_) {
+    t.join();
   }
   // Publish the tracker's query accounting into the process metrics block now that the
-  // counters are final (workers joined).
+  // counters are final (workers finished).
   if (obs::ProcessMetrics* pm = obs_->metrics().process()) {
     const ProgressTrackerStats ps = tracker_.Stats();
     pm->progress_occ_map_peak.store(ps.occ_map_peak, std::memory_order_relaxed);
@@ -169,14 +177,14 @@ void Controller::Stop() {
     pm->progress_query_scans.store(ps.query_scans, std::memory_order_relaxed);
   }
   // Single-process trace dump; cluster runs clear trace_path per-process and write one
-  // combined file (src/net/cluster.cc) instead. Rings are safe to read here: every
-  // recording worker thread has been joined.
+  // combined file (src/net/cluster.cc) instead. Rings are safe to read here: every host
+  // has finished its worker and records nothing more for this controller.
   if (obs_->tracer().enabled() && !cfg_.obs.trace_path.empty()) {
     obs::Tracer::WriteFile(cfg_.obs.trace_path, {{cfg_.process_id, &obs_->tracer()}});
   }
 }
 
-bool Controller::AllInboxesEmpty() const {
+bool Controller::InboxesEmpty() const {
   for (const auto& w : workers_) {
     if (!w->inbox_.Empty()) {
       return false;
@@ -185,26 +193,31 @@ bool Controller::AllInboxesEmpty() const {
   return true;
 }
 
+void Controller::AwaitWorkers(const std::function<bool()>& done) {
+  for (;;) {
+    const EventCount::Ticket ticket = event().PrepareWait();
+    if (done()) {
+      return;
+    }
+    event().CommitWait(ticket, std::chrono::milliseconds(1));  // liveness backstop
+  }
+}
+
 void Controller::PauseAndDrain() {
   NAIAD_CHECK(started_);
   pause_.store(true, std::memory_order_release);
   event().NotifyAll();
-  // Wait until every worker is parked with nothing queued anywhere. Parked workers cannot
-  // generate messages, so (parked == N && inboxes empty && local queues empty) is stable
-  // provided external producers are quiet (the caller's contract). A worker parking
-  // notifies (NoteWorkerParked), and a parked worker whose inbox fills wakes, drains, and
-  // parks again, so the event count carries every change this predicate depends on; the
-  // timeout is a liveness backstop.
-  while (true) {
-    const EventCount::Ticket ticket = event().PrepareWait();
-    // Workers only park with empty local queues, so parked == N plus empty inboxes means
-    // no message can be in flight anywhere in this process.
-    if (parked_.load(std::memory_order_acquire) == cfg_.workers_per_process &&
-        AllInboxesEmpty()) {
-      return;
-    }
-    event().CommitWait(ticket, std::chrono::milliseconds(1));
-  }
+  // Wait until every worker is parked with nothing queued anywhere. Workers park only with
+  // empty local queues and cannot generate messages while parked, so parked == N plus
+  // empty inboxes means no message is in flight in this process, provided external
+  // producers are quiet (the caller's contract). A parked worker unparks before it drains
+  // a message from its inbox, so the unpark count unchanged across the two reads rules
+  // out a worker that was parked for the first and holds a message for the second.
+  AwaitWorkers([&] {
+    const uint64_t unparks = unparks_.load(std::memory_order_acquire);
+    return parked_.load(std::memory_order_acquire) == cfg_.workers_per_process &&
+           InboxesEmpty() && unparks_.load(std::memory_order_acquire) == unparks;
+  });
 }
 
 void Controller::Resume() {

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -36,10 +37,9 @@ struct Config {
   // Job-server mode: many controllers (one per registered job) share one wait/notify
   // channel and one pool of host threads. When shared_event is set, the tracker and all
   // worker parking use it instead of the controller's private EventCount, so progress on
-  // any job wakes the shared hosts. When external_workers is set, Start() does not spawn
-  // worker threads — the job server drives each Worker via RunPass() from its own pool.
+  // any job wakes the shared hosts, and Start() spawns no host threads: the job server's
+  // hosts drive this controller's workers (RunWorkerHost over its jobs table).
   EventCount* shared_event = nullptr;
-  bool external_workers = false;
 };
 
 // Ships serialized record bundles to peer processes; implemented by src/net.
@@ -67,19 +67,20 @@ class Controller {
   uint32_t default_parallelism() const { return total_workers(); }
   bool started() const { return started_; }
   bool stopping() const { return stop_.load(std::memory_order_relaxed); }
-  // True once Start() has fully published the vertices and seeded notifications. External
-  // worker hosts (Config::external_workers) must gate RunPass() on this: before the flip,
-  // the starting thread still mutates worker-owned state (notification seeding).
+  // True once Start() has fully published the vertices and seeded notifications. Hosts
+  // gate every pass on this: before the flip, the starting thread still mutates
+  // worker-owned state (notification seeding).
   bool workers_live() const { return workers_live_.load(std::memory_order_acquire); }
 
   // Freezes the graph, instantiates this process's vertices, seeds the initial pointstamps
-  // (§2.3: one per input stage at epoch 0), and launches worker threads.
+  // (§2.3: one per input stage at epoch 0), and launches one host thread per worker
+  // (unless a job server's shared hosts drive the workers; see Config::shared_event).
   void Start();
-  // Start with worker execution gated: the pause flag is armed before the workers spawn,
-  // so they park before running anything. Selective recovery boots every rebuilt process
-  // this way while the cluster exchanges its progress-seed contributions — an empty
-  // tracker would otherwise fire restored notifications the moment a worker looked at it.
-  // Resume() releases the workers once all seeds are applied.
+  // Start with worker execution gated: the pause flag is armed before the workers go
+  // live, so they park before running anything. Selective recovery boots every rebuilt
+  // process this way while the cluster exchanges its progress-seed contributions — an
+  // empty tracker would otherwise fire restored notifications the moment a worker looked
+  // at it. Resume() releases the workers once all seeds are applied.
   void StartPaused() {
     pause_.store(true, std::memory_order_release);
     Start();
@@ -89,6 +90,9 @@ class Controller {
   // A cancelled controller skips the hook: a torn-down job must not wait on a barrier
   // its peers will never complete.
   void Join();
+  // Stops the workers: each host runs its worker's shutdown duties (the forced purge
+  // drain, §2.4) on its next pass and never drives it again. Returns once all have, so
+  // the caller then owns the workers. Idempotent.
   void Stop();
 
   // Job teardown: unblocks Join() (and any tracker WaitFor using `cancelled()` in its
@@ -183,28 +187,21 @@ class Controller {
   void KeepAlive(std::shared_ptr<void> holder) { holders_.push_back(std::move(holder)); }
 
   // Checkpoint support (§3.4): stop delivering notifications, drain all queued messages,
-  // park the workers. Only meaningful when external producers are also quiet.
+  // park the workers. Only meaningful when external producers are also quiet. Works
+  // under either kind of host: a paused job on a job server leaves the other jobs on the
+  // same hosts running.
   void PauseAndDrain();
   void Resume();
   bool pause_requested() const { return pause_.load(std::memory_order_acquire); }
 
-  // Pause bookkeeping (called by workers). Parking notifies, so PauseAndDrain waits on
-  // the event count rather than polling.
-  void NoteWorkerParked() {
-    parked_.fetch_add(1, std::memory_order_acq_rel);
-    event().NotifyAll();
-  }
-  void NoteWorkerUnparked() { parked_.fetch_sub(1, std::memory_order_acq_rel); }
-
-  // Idle parks of this controller's own worker threads that timed out and then found work
+  // Parks of this controller's own host threads that timed out and then found work
   // (WakeupAudit). Job-server hosts count theirs in ClusterStats::missed_wakeups.
-  void NoteMissedWakeup() { missed_wakeups_.fetch_add(1, std::memory_order_relaxed); }
   uint64_t missed_wakeups() const { return missed_wakeups_.load(std::memory_order_relaxed); }
 
   // Local-quiescence probe for the cluster checkpoint barrier: no worker inbox holds an
   // undelivered item. Racy by nature — callers must re-check across barrier rounds (the
   // two-round stability rule) rather than trust one reading.
-  bool InboxesEmpty() const { return AllInboxesEmpty(); }
+  bool InboxesEmpty() const;
 
   // Traffic statistics (Fig. 6a / 6c accounting).
   std::atomic<uint64_t> data_bytes_sent{0};
@@ -212,7 +209,8 @@ class Controller {
 
  private:
   friend class Worker;
-  bool AllInboxesEmpty() const;
+  // Waits on the event count until `done()` holds; every change it depends on notifies.
+  void AwaitWorkers(const std::function<bool()>& done);
 
   Config cfg_;
   std::unique_ptr<obs::Obs> obs_;  // before workers_: they cache pointers into it
@@ -240,8 +238,15 @@ class Controller {
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> workers_live_{false};
   std::atomic<bool> pause_{false};
+  // Host bookkeeping, kept by worker passes. Parking and finishing notify, so
+  // PauseAndDrain and Stop wait on the event count rather than polling.
   std::atomic<uint32_t> parked_{0};
+  std::atomic<uint64_t> unparks_{0};
+  std::atomic<uint32_t> workers_finished_{0};
   std::atomic<uint64_t> missed_wakeups_{0};
+  // Last: the hosts use the members above (Stop() joins them before any is destroyed).
+  // Empty when a job server's hosts drive the workers.
+  std::vector<std::thread> hosts_;
 };
 
 }  // namespace naiad

@@ -9,8 +9,9 @@ namespace naiad {
 
 namespace {
 
-// Idle park bound. Every producer notifies (the EventCount wake-up contract), so this
-// only backstops liveness; WakeupAudit counts any park it ends that then finds work.
+// Host park bound. Every producer notifies after publishing (the EventCount wake-up
+// contract), so this only backstops liveness: a park it ends that then finds work is a
+// missed wakeup, counted by WakeupAudit and asserted zero by the tests.
 constexpr auto kIdleWait = std::chrono::microseconds(500);
 
 }  // namespace
@@ -22,11 +23,6 @@ Worker::Worker(Controller* ctl, uint32_t local_index)
                     local_index) {
   metrics_ = ctl->obs().metrics().worker(local_index);
   obs_time_ = metrics_ != nullptr;
-}
-
-Worker::~Worker() {
-  RequestStop();
-  JoinThread();
 }
 
 void Worker::EnqueueExternal(std::unique_ptr<WorkItemBase> item) {
@@ -114,21 +110,6 @@ void Worker::FlushProgress() {
   ctl_->progress_router().BroadcastFromWorker(std::move(updates));
 }
 
-void Worker::Start() {
-  thread_ = std::thread([this] { ThreadMain(); });
-}
-
-void Worker::RequestStop() {
-  stop_.store(true, std::memory_order_release);
-  ctl_->event().NotifyAll();
-}
-
-void Worker::JoinThread() {
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
 void Worker::RunItem(WorkItemBase& item) {
   uint64_t t0 = 0;
   if (metrics_ != nullptr) {
@@ -153,7 +134,37 @@ void Worker::RunItem(WorkItemBase& item) {
   FlushProgress();
 }
 
-bool Worker::DispatchOnce() {
+bool Worker::Pass() {
+  if (finished_) {
+    return false;
+  }
+  if (ctl_->stopping()) {
+    // Shutdown comes only after the computation drained (or was cancelled), so every
+    // remaining purge's guarantee time has passed; their capability is ⊤, so they
+    // cannot create new events.
+    TryDeliverPurges(/*force=*/true);
+    FlushProgress();
+    finished_ = true;
+    ctl_->workers_finished_.fetch_add(1, std::memory_order_acq_rel);
+    ctl_->event().NotifyAll();
+    return false;
+  }
+  // A job server's hosts exist before any job does, so the ring is registered on the
+  // first pass rather than at thread start.
+  if (trace_ == nullptr && ctl_->obs().tracer().enabled()) {
+    trace_ = ctl_->obs().tracer().RegisterThread("worker" + std::to_string(global_index_));
+  }
+  if (parked_) {
+    // Stay counted as parked until a message or the Resume arrives. Unparking before the
+    // inbox is drained means PauseAndDrain never sees this worker parked while it holds
+    // a message.
+    if (ctl_->pause_requested() && inbox_.Empty()) {
+      return false;
+    }
+    parked_ = false;
+    ctl_->unparks_.fetch_add(1, std::memory_order_acq_rel);
+    ctl_->parked_.fetch_sub(1, std::memory_order_acq_rel);
+  }
   bool did = false;
   // Messages before notifications (§3.2).
   for (;;) {
@@ -176,9 +187,16 @@ bool Worker::DispatchOnce() {
     local_.pop_front();
     RunItem(*item);
     did = true;
-    if (ctl_->pause_requested()) {
-      return did;  // finish messages under HandlePause's message-only loop
+  }
+  if (ctl_->pause_requested()) {
+    // §3.4: a paused worker delivers messages only, and parks once its queues are empty.
+    if (!did) {
+      FlushProgress();
+      parked_ = true;
+      ctl_->parked_.fetch_add(1, std::memory_order_acq_rel);
+      ctl_->event().NotifyAll();
     }
+    return did;
   }
   if (TryDeliverNotifications()) {
     did = true;
@@ -237,125 +255,65 @@ bool Worker::TryDeliverNotifications() {
   return false;
 }
 
-void Worker::ThreadMain() {
-  if (ctl_->obs().tracer().enabled()) {
-    trace_ = ctl_->obs().tracer().RegisterThread("worker" + std::to_string(global_index_));
-  }
-  WakeupAudit audit(ctl_->event());
-  uint64_t idle_version = ~0ULL;
-  uint64_t idle_held = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (ctl_->pause_requested()) {
-      audit.Missed(/*found_work=*/false);  // a pause is not work; only idle parks count
-      // §3.4: deliver outstanding messages (no notifications) and park until Resume.
-      for (;;) {
-        bool any = false;
-        for (;;) {
-          if (local_.empty()) {
-            drain_scratch_.clear();
-            if (inbox_.DrainInto(drain_scratch_) > 0) {
-              for (auto& it : drain_scratch_) {
-                local_.push_back(std::move(it));
-              }
-              drain_scratch_.clear();
-            }
-          }
-          if (local_.empty()) {
-            break;
-          }
-          std::unique_ptr<WorkItemBase> item = std::move(local_.front());
-          local_.pop_front();
-          RunItem(*item);
-          any = true;
-        }
-        FlushProgress();
-        if (any) {
-          continue;
-        }
-        if (!ctl_->pause_requested() || stop_.load(std::memory_order_acquire)) {
-          break;
-        }
-        // Stay counted as parked across wake-ups that bring nothing for this worker, so
-        // parking (which notifies PauseAndDrain) happens once per drained queue.
-        ctl_->NoteWorkerParked();
-        for (;;) {
-          const EventCount::Ticket ticket = ctl_->event().PrepareWait();
-          if (!inbox_.Empty() || !ctl_->pause_requested() ||
-              stop_.load(std::memory_order_acquire)) {
-            break;
-          }
-          ctl_->event().CommitWait(ticket, kIdleWait);
-        }
-        ctl_->NoteWorkerUnparked();
+void RunWorkerHost(uint32_t worker_index, EventCount& event, const std::atomic<bool>& stop,
+                   const ControllerList& list, std::atomic<uint64_t>& missed_wakeups) {
+  WakeupAudit audit(event);
+  uint64_t idle_fingerprint = kListChanging;
+  for (;;) {
+    // Read before the pass, which then finishes the worker of every stopping controller.
+    const bool stopping = stop.load(std::memory_order_acquire);
+    bool ran = false;
+    list([&](Controller& ctl) {
+      if (ctl.workers_live()) {
+        ran = ctl.worker(worker_index).Pass() || ran;
       }
-      continue;
+    });
+    if (stopping) {
+      return;
     }
-
-    if (DispatchOnce()) {
+    if (ran) {
       if (audit.Missed(true)) {
-        ctl_->NoteMissedWakeup();
+        missed_wakeups.fetch_add(1, std::memory_order_relaxed);
       }
-      idle_version = ~0ULL;
+      idle_fingerprint = kListChanging;
       continue;
     }
-    // No work: flush, let accumulating progress routers release held updates, then sleep
-    // unless something arrived, a non-worker thread started holding progress, or the
-    // frontier moved since our last notification scan.
-    FlushProgress();
-    if (audit.Missed(ctl_->progress_router().OnWorkerIdle())) {
-      ctl_->NoteMissedWakeup();
+    // Idle edge, eventcount-style (§3.3): take the ticket, flush, re-check every work
+    // source, and only then park. Any controller's progress bumps its tracker version,
+    // and any hold a non-worker thread starts bumps its router's held generation; both
+    // notify the event, so the fingerprint changing forces another pass.
+    const EventCount::Ticket ticket = event.PrepareWait();
+    bool emitted = false;
+    bool rescan = false;
+    uint64_t versions = 0;
+    const uint64_t generation = list([&](Controller& ctl) {
+      Worker& w = ctl.worker(worker_index);
+      if (!ctl.workers_live() || w.finished_) {
+        return;
+      }
+      w.FlushProgress();
+      if (!w.parked_) {
+        emitted = ctl.progress_router().OnWorkerIdle() || emitted;
+      }
+      // A stop, pause or resume the last pass has not acted on needs another pass.
+      rescan = rescan || !w.inbox_.Empty() || ctl.stopping() ||
+               ctl.pause_requested() != w.parked_;
+      versions += 1 + ctl.tracker().version() + ctl.progress_router().held_generation();
+    });
+    if (audit.Missed(emitted)) {
+      missed_wakeups.fetch_add(1, std::memory_order_relaxed);
     }
-    EventCount::Ticket ticket = ctl_->event().PrepareWait();
-    const uint64_t version = ctl_->tracker().version();
-    const uint64_t held = ctl_->progress_router().held_generation();
-    if (!inbox_.Empty() || stop_.load(std::memory_order_acquire) ||
-        ctl_->pause_requested()) {
+    if (rescan || generation == kListChanging || stop.load(std::memory_order_acquire)) {
       continue;
     }
-    if (held != idle_held) {
-      idle_held = held;
-      continue;  // a hold started after our flush; flush it before parking
-    }
-    if ((!pending_.empty() || !purges_.empty()) && version != idle_version) {
-      idle_version = version;
-      continue;  // frontier may have moved; rescan notifications and purges
+    const uint64_t fingerprint = generation + versions;
+    if (fingerprint != idle_fingerprint) {
+      idle_fingerprint = fingerprint;
+      continue;
     }
     // The timeout is a liveness backstop; a park it ends that then finds work is counted.
     audit.Park(ticket, kIdleWait);
   }
-  // Shutdown happens only after the computation drained, so every remaining purge's
-  // guarantee time has passed; deliver them before exiting (their capability is ⊤, so
-  // they cannot create new events).
-  TryDeliverPurges(/*force=*/true);
-  FlushProgress();
-}
-
-bool Worker::RunPass() {
-  // Host threads exist before any job does, so the ring registration that ThreadMain does
-  // at entry happens lazily here, on the first pass a host runs for this worker.
-  if (trace_ == nullptr && ctl_->obs().tracer().enabled()) {
-    trace_ = ctl_->obs().tracer().RegisterThread("worker" + std::to_string(global_index_));
-  }
-  return DispatchOnce();
-}
-
-bool Worker::IdleFlush() {
-  FlushProgress();
-  return ctl_->progress_router().OnWorkerIdle();
-}
-
-void Worker::DeliverFinalPurges() {
-  TryDeliverPurges(/*force=*/true);
-  FlushProgress();
-}
-
-bool Worker::DrainForTest() {
-  bool any = false;
-  while (DispatchOnce()) {
-    any = true;
-  }
-  FlushProgress();
-  return any;
 }
 
 }  // namespace naiad

@@ -10,10 +10,11 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
+#include "src/base/event_count.h"
 #include "src/base/mpsc_queue.h"
 #include "src/core/progress.h"
 #include "src/core/timestamp.h"
@@ -26,10 +27,28 @@ namespace naiad {
 
 class Controller;
 
+// The controllers one host thread drives. The owner calls visit(ctl) for each of them,
+// under whatever guard it needs, and returns a generation of the list that changes
+// whenever a member joins or leaves, or kListChanging while one is still arriving (the
+// host then passes again instead of parking).
+using ControllerList =
+    std::function<uint64_t(const std::function<void(Controller&)>& visit)>;
+inline constexpr uint64_t kListChanging = ~uint64_t{0};
+
+// The one scheduling loop (§3.2). Host thread k drives worker k of every controller in
+// `list`: a standalone Controller lists itself on threads of its own, the job server
+// lists its jobs table. Each pass delivers the messages, then the notifications, of
+// every worker whose controller has gone live (Controller::workers_live); the idle edge
+// flushes progress, lets the routers release held updates, and parks on `event`,
+// counting each park that times out with work waiting in `missed_wakeups`
+// (WakeupAudit). Returns after the first pass that starts with `stop` set; that pass
+// finishes the workers of every stopping controller still listed.
+void RunWorkerHost(uint32_t worker_index, EventCount& event, const std::atomic<bool>& stop,
+                   const ControllerList& list, std::atomic<uint64_t>& missed_wakeups);
+
 class Worker {
  public:
   Worker(Controller* ctl, uint32_t local_index);
-  ~Worker();
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
@@ -63,22 +82,6 @@ class Worker {
   const Timestamp* current_time() const { return in_callback_ ? &current_time_ : nullptr; }
   uint32_t reentry_depth() const { return reentry_depth_; }
 
-  void Start();
-  void RequestStop();
-  void JoinThread();
-
-  // Job-server mode (Config::external_workers): a shared host thread drives the worker
-  // instead of a dedicated one. The same host thread must make every call for a given
-  // worker — the single-owner-thread contract carries over unchanged.
-  bool RunPass();             // one scheduling pass; true if any callback ran
-  bool IdleFlush();           // ThreadMain's idle-edge duties; returns OnWorkerIdle()
-  void DeliverFinalPurges();  // the shutdown duties of ThreadMain (forced purge drain)
-  bool InboxEmpty() const { return inbox_.Empty(); }
-
-  // Test support: run pending work on the calling thread until none remains; returns
-  // whether anything ran. Only valid when the worker thread is not running.
-  bool DrainForTest();
-
   struct PendingNotify {
     Timestamp time;
     VertexBase* vertex;
@@ -89,9 +92,14 @@ class Worker {
 
  private:
   friend class Controller;  // pause coordination inspects the inbox
+  friend void RunWorkerHost(uint32_t, EventCount&, const std::atomic<bool>&,
+                            const ControllerList&, std::atomic<uint64_t>&);
 
-  void ThreadMain();
-  bool DispatchOnce();  // one scheduling pass; true if any callback ran
+  // One scheduling pass on the host thread; true if any callback ran. While the
+  // controller is paused (§3.4) the pass delivers messages only; once the queues are
+  // empty the worker counts itself parked. A stopping controller's worker runs its
+  // shutdown duties on its next pass and is never driven again.
+  bool Pass();
   void RunItem(WorkItemBase& item);
   bool TryDeliverNotifications();
   bool TryDeliverPurges(bool force);
@@ -112,15 +120,17 @@ class Worker {
   bool in_purge_ = false;
   uint32_t reentry_depth_ = 0;
 
+  // Host-thread pass state.
+  bool parked_ = false;    // counted in the controller's parked workers (§3.4 pause)
+  bool finished_ = false;  // shutdown duties done; no host drives this worker again
+
   // Observability (nullptr / false when disabled — the hot paths then pay one predictable
-  // branch and no clock reads). metrics_ points into the controller's Obs; trace_ is this
-  // thread's ring, registered at ThreadMain entry and drained only after JoinThread.
+  // branch and no clock reads). metrics_ points into the controller's Obs; trace_ is the
+  // host thread's ring, registered on its first pass over this worker and drained only
+  // after the controller stopped.
   obs::WorkerMetrics* metrics_ = nullptr;
   obs::TraceRing* trace_ = nullptr;
   bool obs_time_ = false;  // metrics_ != nullptr: stamp enqueue/request times
-
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
 };
 
 }  // namespace naiad

@@ -54,6 +54,8 @@ constexpr uint8_t kStRecoverStats = 7;   // a = survivor stall ns, b = downtime 
                                          // c = 1 for a selective rebuild
 constexpr uint8_t kStDetected = 8;       // a = generation; sent the moment this member's
                                          // in-band detection aborted its epoch loop
+constexpr uint8_t kStWakeups = 9;        // a = missed wakeups over every generation this
+                                         // member ran; sent just before each DONE
 
 // supervisor -> member
 constexpr uint8_t kCtPort = 1;     // a = slot, b = port (one record per slot)
@@ -191,6 +193,7 @@ class MemberRunner {
 
   std::unique_ptr<Controller> ctl_;
   std::unique_ptr<TcpTransport> transport_;
+  Listener listener_;  // between Teardown and Build: the bound listen socket
   std::unique_ptr<DistributedProgressRouter> router_;
   std::unique_ptr<ClusterControl> control_;
   std::unique_ptr<ClusterApp> app_;
@@ -216,6 +219,7 @@ class MemberRunner {
   uint64_t stall_ns_ = 0;
   uint64_t downtime_ns_ = 0;
   uint64_t last_mode_ = 0;
+  uint64_t missed_wakeups_ = 0;    // torn-down generations' Controller::missed_wakeups
 
   std::thread reader_;
   std::mutex sup_mu_;
@@ -303,9 +307,14 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
   }
   ctl_ = std::make_unique<Controller>(c);
   if (!transport_) {
+    // A survivor takes over its previous generation's listener, so its published port
+    // is never free for another process to take; only a replacement binds anew.
     transport_ = std::make_unique<TcpTransport>(slot_, cfg_.processes);
-    const uint16_t port = transport_->Listen(ports_[slot_]);
-    NAIAD_CHECK(port == ports_[slot_]);
+    if (listener_.valid()) {
+      transport_->Listen(std::move(listener_));
+    } else {
+      NAIAD_CHECK(transport_->Listen(ports_[slot_]) == ports_[slot_]);
+    }
   }
   transport_->SetFaultPlan(cfg_.fault_plan);
   transport_->SetObs(&ctl_->obs());
@@ -495,12 +504,14 @@ void MemberRunner::Teardown() {
   }
   transport_->Abort();  // unblocks senders mid-write; joins all transport threads
   ctl_->Stop();
-  ExportLogCounters();  // workers are joined: the tap can no longer run
+  missed_wakeups_ += ctl_->missed_wakeups();
+  ExportLogCounters();  // workers are finished: the tap can no longer run
   app_.reset();
   control_.reset();
   router_.reset();
   outlogs_.reset();
-  transport_.reset();  // releases the listen socket so Build can rebind the same port
+  listener_ = transport_->ReleaseListener();  // still bound: Build hands it on
+  transport_.reset();
   ctl_.reset();
 }
 
@@ -740,6 +751,7 @@ int MemberRunner::Run(const ClusterAppFactory& factory) {
 
   for (;;) {
     if (RunEpochs(start_epoch)) {
+      SendStatus(kStWakeups, missed_wakeups_ + ctl_->missed_wakeups(), 0);
       SendStatus(kStDone, recoveries_, total_commits_, replay_dropped_);
       uint32_t gen = 0;
       uint64_t restore = kNoManifestEpoch;
@@ -960,6 +972,7 @@ ClusterKillOutcome ClusterKillRecoverDriver::Run(const Options& opts,
     uint64_t replay_drops = 0;
     uint64_t done_recoveries = 0;
     uint64_t done_commits = 0;
+    uint64_t missed_wakeups = 0;  // its latest report; a killed victim's count dies with it
     std::vector<uint8_t> buf;
   };
   std::vector<Member> members(n);
@@ -1171,6 +1184,9 @@ ClusterKillOutcome ClusterKillRecoverDriver::Run(const Options& opts,
           members[p].mode = 1;
         }
         break;
+      case kStWakeups:
+        members[p].missed_wakeups = rec.a;
+        break;
       case kStDone:
         members[p].done = true;
         members[p].done_recoveries = rec.a;
@@ -1301,6 +1317,7 @@ ClusterKillOutcome ClusterKillRecoverDriver::Run(const Options& opts,
     out.stats.checkpoint_epochs = std::max(out.stats.checkpoint_epochs, m.done_commits);
     out.stats.selective_recoveries += m.mode;
     out.stats.replayed_frames_dropped += m.replay_drops;
+    out.stats.missed_wakeups += m.missed_wakeups;
     out.stats.survivor_stall_seconds =
         std::max(out.stats.survivor_stall_seconds, static_cast<double>(m.stall_ns) / 1e9);
     out.stats.recovery_downtime_seconds = std::max(

@@ -168,7 +168,8 @@ struct ClusterKillOutcome {
   double detection_seconds = 0;
   // recoveries / checkpoint_epochs / elapsed, plus the selective-recovery block
   // (selective_recoveries counts members that rebuilt selectively; zero means the
-  // coordinated fallback ran).
+  // coordinated fallback ran), and missed_wakeups summed over the members that finished
+  // (each reports every generation it ran; a killed victim's count is lost with it).
   ClusterStats stats;
 };
 

@@ -1,21 +1,10 @@
 #include "src/net/job_server.h"
 
-#include <chrono>
 #include <utility>
 
 #include "src/base/logging.h"
 
 namespace naiad {
-
-namespace {
-
-// Host threads wake on the shared EventCount. Every producer notifies after publishing
-// (including a progress accumulator that starts holding on a receiver thread), so this
-// timeout is only a liveness backstop: a park it ends that then finds work is a missed
-// wakeup, counted in ClusterStats::missed_wakeups and asserted zero by the tests.
-constexpr auto kHostIdleWait = std::chrono::microseconds(500);
-
-}  // namespace
 
 // One registered dataflow on one process: its controller (graph, tracker, vertices,
 // workers), its progress router and control plane, and its wire-traffic accounting. Held
@@ -103,8 +92,8 @@ namespace {
 // which dispatches inline back into OnFrame on the same thread. Re-acquiring the shared
 // jobs lock there can deadlock against a writer already waiting between the two
 // acquisitions, so nested entries reuse the outer hold instead. Host threads set it too:
-// their RunPass/IdleFlush sections hold the shared lock and can reach Send-to-self
-// through a progress flush.
+// their passes and idle edges hold the shared lock and can reach Send-to-self through a
+// progress flush.
 thread_local const void* t_jobs_shared_held = nullptr;
 
 class JobsSharedScope {
@@ -194,8 +183,23 @@ void JobServer::Start() {
   for (uint32_t p = 0; p < n; ++p) {
     ProcessState& ps = *procs_[p];
     ps.hosts.reserve(opts_.workers_per_process);
+    // The jobs table as each host's controller list, read under the shared lock.
+    ControllerList jobs = [&ps](const std::function<void(Controller&)>& visit) {
+      JobsSharedScope scope(ps.jobs_mu, &ps);
+      uint64_t generation = ps.jobs_generation;
+      for (auto& [id, ctx] : ps.jobs) {
+        if (!ctx->accepting.load(std::memory_order_acquire)) {
+          generation = kListChanging;  // a registration is in flight; come back for it
+          continue;
+        }
+        visit(*ctx->ctl);
+      }
+      return generation;
+    };
     for (uint32_t k = 0; k < opts_.workers_per_process; ++k) {
-      ps.hosts.emplace_back([this, &ps, k] { HostMain(ps, k); });
+      ps.hosts.emplace_back([&ps, k, jobs] {
+        RunWorkerHost(k, ps.event, ps.stop, jobs, ps.missed_wakeups);
+      });
     }
   }
 }
@@ -340,7 +344,6 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
   cfg.obs = opts_.obs;
   cfg.obs.trace_path.clear();  // the server writes one combined file at Stop()
   cfg.shared_event = &ps.event;
-  cfg.external_workers = true;
   ctx->ctl = std::make_unique<Controller>(cfg);
   ctx->data.transport = ps.transport.get();
   ctx->data.ctx = ctx.get();
@@ -416,18 +419,16 @@ void JobServer::DriverMain(ProcessState& ps, std::shared_ptr<JobContext> ctx,
 }
 
 void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
+  // Idempotent: the body's Join already stopped a drained job. Either way the hosts have
+  // run every worker's shutdown duties (the forced purge drain, §2.4) when it returns.
+  ctx->ctl->Stop();
   {
     std::unique_lock<std::shared_mutex> lock(ps.jobs_mu);
     ps.jobs.erase(ctx->id);
     ++ps.jobs_generation;
   }
   // The exclusive acquisition above excluded every host pass and in-flight delivery;
-  // this thread now solely owns the job's workers. External mode has no ThreadMain
-  // epilogue, so the forced purge drain (§2.4) runs here.
-  for (uint32_t k = 0; k < opts_.workers_per_process; ++k) {
-    ctx->ctl->worker(k).DeliverFinalPurges();
-  }
-  ctx->ctl->Stop();  // idempotent: the body's Join already stopped a drained job
+  // this thread now solely owns the job's controller.
   {
     std::lock_guard<std::mutex> lock(ps.stash_mu);
     ps.retired.insert(ctx->id);
@@ -468,72 +469,6 @@ void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
     ++retired_count_[ctx->id];
   }
   done_cv_.notify_all();
-}
-
-void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
-  WakeupAudit audit(ps.event);
-  uint64_t idle_fingerprint = ~uint64_t{0};
-  while (!ps.stop.load(std::memory_order_acquire)) {
-    bool ran = false;
-    {
-      JobsSharedScope scope(ps.jobs_mu, &ps);
-      for (auto& [id, ctx] : ps.jobs) {
-        if (!ctx->accepting.load(std::memory_order_acquire)) {
-          continue;
-        }
-        Controller& ctl = *ctx->ctl;
-        // workers_live gates until Start() has published the vertices and seeded the
-        // notifications; stopping excludes a job already past its Join.
-        if (!ctl.workers_live() || ctl.stopping()) {
-          continue;
-        }
-        ran = ctx->ctl->worker(worker_index).RunPass() || ran;
-      }
-    }
-    if (ran) {
-      if (audit.Missed(true)) {
-        ps.missed_wakeups.fetch_add(1, std::memory_order_relaxed);
-      }
-      idle_fingerprint = ~uint64_t{0};
-      continue;
-    }
-    // Idle edge, eventcount-style (§3.3): snapshot the generation, flush, re-check every
-    // work source, and only then park. Any job's progress bumps its tracker version, and
-    // any hold a non-worker thread starts bumps its router's held generation; both notify
-    // the shared event, so the fingerprint changing forces another pass.
-    const EventCount::Ticket ticket = ps.event.PrepareWait();
-    uint64_t fingerprint = 0;
-    bool rescan = false;
-    bool emitted = false;
-    {
-      JobsSharedScope scope(ps.jobs_mu, &ps);
-      fingerprint = ps.jobs_generation;
-      for (auto& [id, ctx] : ps.jobs) {
-        if (!ctx->accepting.load(std::memory_order_acquire)) {
-          rescan = true;  // a registration is in flight; come back for it
-          continue;
-        }
-        Controller& ctl = *ctx->ctl;
-        if (!ctl.workers_live() || ctl.stopping()) {
-          continue;
-        }
-        emitted = ctl.worker(worker_index).IdleFlush() || emitted;
-        fingerprint += ctl.tracker().version() + ctx->router->held_generation();
-        rescan = rescan || !ctl.worker(worker_index).InboxEmpty();
-      }
-    }
-    if (audit.Missed(emitted)) {
-      ps.missed_wakeups.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (rescan || ps.stop.load(std::memory_order_acquire)) {
-      continue;
-    }
-    if (fingerprint != idle_fingerprint) {
-      idle_fingerprint = fingerprint;
-      continue;
-    }
-    audit.Park(ticket, kHostIdleWait);
-  }
 }
 
 ClusterStats JobServer::Stop() {

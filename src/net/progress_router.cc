@@ -54,7 +54,7 @@ void DistributedProgressRouter::Accumulate(std::vector<ProgressUpdate> updates,
         std::lock_guard<std::mutex> lock(local_mu_);
         AddToBuffer(local_buf_, updates);
         flush = !SafeToHold(local_buf_);
-        if (!from_worker) {
+        if (!from_worker && !flush) {
           announce = MarkForeign(local_buf_, local_foreign_);
         }
       }
@@ -146,7 +146,7 @@ void DistributedProgressRouter::OnAccumulatorFrame(uint32_t /*src*/,
     const bool was_empty = central_buf_.empty();
     AddToBuffer(central_buf_, ups);
     flush = !SafeToHold(central_buf_);
-    announce = MarkForeign(central_buf_, central_foreign_);
+    announce = !flush && MarkForeign(central_buf_, central_foreign_);
     if (was_empty && !central_buf_.empty() && ctl_->obs().metrics().process() != nullptr) {
       central_hold_start_ns_ = obs::MonotonicNs();
     }
@@ -168,7 +168,18 @@ bool DistributedProgressRouter::OnWorkerIdle() {
   if (faults_ != nullptr && !faults_->BeforeIdleFlush()) {
     return false;
   }
-  return FlushAll();
+  // Only holds other threads made count as released: the local flush below can send to
+  // this process's own central accumulator inline, which holds it as a foreign hold.
+  bool central_foreign = false;
+  if (IsCentral()) {
+    std::lock_guard<std::mutex> lock(central_mu_);
+    central_foreign = central_foreign_;
+  }
+  const bool local_foreign = FlushLocal();
+  if (IsCentral()) {
+    FlushCentral();
+  }
+  return local_foreign || central_foreign;
 }
 
 bool DistributedProgressRouter::FlushAll() {

@@ -3,6 +3,8 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "src/base/hash.h"
 #include "src/base/logging.h"
@@ -249,20 +252,25 @@ Socket Socket::ConnectLocal(uint16_t port, const BackoffPolicy& policy, uint64_t
   return Socket();
 }
 
-Listener::Listener(Listener&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+Listener::Listener(Listener&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), wake_fd_(std::exchange(other.wake_fd_, -1)) {}
 
 Listener& Listener::operator=(Listener&& other) noexcept {
   if (this != &other) {
     Close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+    fd_ = std::exchange(other.fd_, -1);
+    wake_fd_ = std::exchange(other.wake_fd_, -1);
   }
   return *this;
 }
 
 uint16_t Listener::Open(uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Non-blocking so Accept() never blocks after poll() reported a connection that was
+  // reset before it could be taken; accepted sockets do not inherit the flag.
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   NAIAD_CHECK(fd_ >= 0);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  NAIAD_CHECK(wake_fd_ >= 0);
   int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
@@ -280,26 +288,43 @@ uint16_t Listener::Open(uint16_t port) {
 }
 
 Socket Listener::Accept() {
-  int fd = ::accept(fd_, nullptr, nullptr);
-  if (fd < 0) {
-    return Socket();
+  pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+  while (::poll(fds, 2, -1) >= 0 || errno == EINTR) {
+    if (fds[1].revents != 0) {
+      break;  // shut down
+    }
+    const int fd = ::accept(fd_, nullptr, nullptr);
+    if (fd >= 0) {
+      Socket s(fd);
+      s.SetNoDelay();
+      return s;
+    }
+    if (errno != EAGAIN && errno != EINTR && errno != ECONNABORTED) {
+      break;
+    }
   }
-  Socket s(fd);
-  s.SetNoDelay();
-  return s;
+  return Socket();
 }
 
 void Listener::Shutdown() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
+  if (wake_fd_ >= 0) {
+    NAIAD_CHECK(::eventfd_write(wake_fd_, 1) == 0);
   }
+}
+
+void Listener::Rearm() {
+  eventfd_t n;
+  ::eventfd_read(wake_fd_, &n);  // resets the count; EAGAIN when already clear
 }
 
 void Listener::Close() {
   if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
+  }
+  if (wake_fd_ >= 0) {
+    ::close(wake_fd_);
+    wake_fd_ = -1;
   }
 }
 

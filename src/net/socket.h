@@ -181,15 +181,19 @@ class Listener {
   // SO_REUSEADDR lets a recovering process rebind its published port while the previous
   // generation's connections linger in TIME_WAIT.
   uint16_t Open(uint16_t port);
+  // Waits for the next connection; returns an invalid Socket once Shutdown() was called.
   Socket Accept();
-  // Unblocks a concurrent Accept() (which then returns an invalid Socket) without
-  // releasing the fd; callers then join the accepting thread before Close().
+  // Unblocks a concurrent Accept(), and fails every later one, without closing the
+  // socket: the port stays bound and dials keep queueing. Rearm() undoes it, so an owner
+  // that stopped accepting can hand the listener on to the next one.
   void Shutdown();
+  void Rearm();
   void Close();
   bool valid() const { return fd_ >= 0; }
 
  private:
   int fd_ = -1;
+  int wake_fd_ = -1;  // eventfd, readable while shut down
 };
 
 }  // namespace naiad

@@ -41,6 +41,17 @@ uint16_t TcpTransport::Listen(uint16_t preferred_port) {
   return port;
 }
 
+void TcpTransport::Listen(Listener bound) {
+  NAIAD_CHECK(bound.valid());
+  listener_ = std::move(bound);
+  listener_.Rearm();
+}
+
+Listener TcpTransport::ReleaseListener() {
+  NAIAD_CHECK(shutdown_.load(std::memory_order_acquire));
+  return std::move(listener_);
+}
+
 Socket TcpTransport::DialPeer(uint32_t dst) {
   // Seed the backoff jitter per (src, dst, generation): every dialer of a recovering
   // peer retries on its own schedule instead of the whole mesh thundering in lockstep,
@@ -104,7 +115,7 @@ void TcpTransport::AcceptorMain() {
   for (;;) {
     Socket s = listener_.Accept();
     if (!s.valid()) {
-      return;  // listener closed (shutdown)
+      return;  // listener shut down
     }
     // Publish the handshake fd so Shutdown() can unblock this read: shutting the
     // listener down unblocks Accept() but not an in-progress handshake, so a dialer
@@ -810,7 +821,7 @@ void TcpTransport::JoinThreads() {
   if (acceptor_.joinable()) {
     acceptor_.join();
   }
-  listener_.Close();
+  // The listener stays bound until destruction, so ReleaseListener can hand it on.
   for (auto& link : send_links_) {
     if (link == nullptr) {
       continue;

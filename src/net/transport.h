@@ -155,6 +155,13 @@ class TcpTransport final : public DataTransport {
   // lets a recovering process rebind the port it published before the failure (0 =
   // ephemeral).
   uint16_t Listen(uint16_t preferred_port = 0);
+  // Phase 1 from a listener a previous generation's transport handed over (see
+  // ReleaseListener): the port never left this process, so no rebind can lose it, and
+  // dials that arrived during the hand-off are accepted once Start() runs.
+  void Listen(Listener bound);
+  // After Shutdown()/Abort(): the still-bound listener, for the next generation. The
+  // transport otherwise closes it on destruction.
+  Listener ReleaseListener();
   // Phase 2 (per-process thread): establish the mesh given everyone's ports, then start
   // the I/O threads. Callbacks fire on receive threads (or inline for self-sends).
   void Start(const std::vector<uint16_t>& ports, Callbacks cb);

@@ -160,9 +160,14 @@ std::vector<std::vector<uint8_t>> FinalImages(const ClusterRunConfig& cfg) {
   return images;
 }
 
-// Clean-run reference images, computed once per binary.
-const std::vector<std::vector<uint8_t>>& CleanReference() {
-  static const std::vector<std::vector<uint8_t>>* ref = [] {
+// The clean reference run, computed once per binary.
+struct CleanRun {
+  std::vector<std::vector<uint8_t>> images;  // final-epoch image per process
+  uint64_t missed_wakeups = 0;
+};
+
+const CleanRun& CleanReferenceRun() {
+  static const CleanRun* ref = [] {
     const std::string dir = FreshDir("clean_ref");
     ClusterKillRecoverDriver::Options opts;
     opts.cfg = BaseConfig(dir);
@@ -174,9 +179,13 @@ const std::vector<std::vector<uint8_t>>& CleanReference() {
     NAIAD_CHECK(out.stats.checkpoint_epochs == 2);  // epochs 1 and 3
     NAIAD_CHECK(ReadClusterManifest(dir, opts.cfg.processes) ==
                 opts.cfg.total_epochs - 1);
-    return new std::vector<std::vector<uint8_t>>(FinalImages(opts.cfg));
+    return new CleanRun{FinalImages(opts.cfg), out.stats.missed_wakeups};
   }();
   return *ref;
+}
+
+const std::vector<std::vector<uint8_t>>& CleanReference() {
+  return CleanReferenceRun().images;
 }
 
 // Mirrors the driver's seed derivation so tests can select barrier-kill seeds.
@@ -210,6 +219,9 @@ ClusterKillOutcome SweepSeed(uint64_t seed) {
         << "seed " << seed;
     EXPECT_GE(out.stats.checkpoint_epochs, 1u) << "seed " << seed;
   }
+  // Informational (--gtest_output=xml): kill runs are not held to zero missed wakeups.
+  ::testing::Test::RecordProperty("missed_wakeups_seed_" + std::to_string(seed),
+                                  std::to_string(out.stats.missed_wakeups));
   return out;
 }
 
@@ -247,11 +259,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClusterKillSweep,
                          });
 
 TEST(ClusterRecoveryTest, CleanRunCommitsManifestAndImages) {
-  const auto& clean = CleanReference();
-  ASSERT_EQ(clean.size(), 3u);
-  for (const auto& image : clean) {
+  const CleanRun& clean = CleanReferenceRun();
+  ASSERT_EQ(clean.images.size(), 3u);
+  for (const auto& image : clean.images) {
     EXPECT_FALSE(image.empty());
   }
+  // Every member's host parks woke on a notify, never on the backstop with work waiting.
+  EXPECT_EQ(clean.missed_wakeups, 0u);
 }
 
 TEST(ClusterRecoveryTest, BarrierKillNeverAdoptsTornCheckpoint) {
@@ -390,6 +404,7 @@ TEST(ClusterRecoveryTest, RetainKPrunesSupersededImagesOnDisk) {
   opts.inject_kill = false;
   const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
   ASSERT_TRUE(out.launched && out.ok);
+  EXPECT_EQ(out.stats.missed_wakeups, 0u);
   auto image_exists = [&](uint32_t p, uint64_t e) {
     struct stat st;
     return ::stat(ClusterImagePath(dir, p, e).c_str(), &st) == 0;

@@ -1,7 +1,7 @@
 // Tests for the multi-tenant job server: dynamic registration on a live cluster,
 // concurrent jobs on shared workers and links, isolated teardown, the demux's stray-frame
-// discipline, and the hosts' event-driven wake-ups (no park may end by timeout with work
-// waiting).
+// discipline, the hosts' event-driven wake-ups (no park may end by timeout with work
+// waiting), and the §3.4 pause of one job while another keeps running.
 //
 // The seeded sweep registers several jobs at randomized times, tears a seed-chosen
 // victim down mid-run, and requires every surviving job's output to be identical to a
@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -27,6 +30,7 @@
 #include "src/core/io.h"
 #include "src/core/loop.h"
 #include "src/core/stage.h"
+#include "src/ft/checkpoint.h"
 #include "src/net/cluster.h"
 #include "src/net/job_server.h"
 #include "src/net/transport.h"
@@ -95,7 +99,9 @@ class CountPerKeyVertex final : public UnaryVertex<uint64_t, std::pair<uint64_t,
 
 struct JobResult {
   std::mutex mu;
+  std::condition_variable cv;
   std::map<uint64_t, uint64_t> counts;
+  uint64_t epochs = 0;  // epochs the subscriber has delivered
 };
 
 // Builds the keyed-count dataflow on `ctl` and returns the input handle; records land in
@@ -110,11 +116,13 @@ InputHandle<uint64_t>* BuildCountGraph(Controller& ctl, GraphBuilder& b, JobResu
                                          [](const uint64_t& k) { return k; });
   Subscribe<std::pair<uint64_t, uint64_t>>(
       b.OutputOf<std::pair<uint64_t, uint64_t>>(count),
-      [out](uint64_t, std::vector<std::pair<uint64_t, uint64_t>>& recs) {
+      [out](uint64_t epoch, std::vector<std::pair<uint64_t, uint64_t>>& recs) {
         std::lock_guard<std::mutex> lock(out->mu);
         for (auto [k, n] : recs) {
           out->counts[k] += n;
         }
+        out->epochs = std::max(out->epochs, epoch + 1);
+        out->cv.notify_all();
       });
   return handle.get();  // kept alive by the controller (KeepAlive in NewInput)
 }
@@ -392,40 +400,61 @@ struct ClosedLoop {
   std::map<uint64_t, std::map<uint64_t, uint64_t>> got;  // epoch -> key -> count
 };
 
+// Feeds `epochs` epochs of the closed loop on `ctl` (one process's body), then drains.
+// `before_epoch(e)` runs before epoch e is fed.
+void RunClosedLoopBody(Controller& ctl, ClosedLoop& loop, uint64_t epochs,
+                       const std::function<void(uint64_t)>& before_epoch = nullptr) {
+  GraphBuilder b(ctl);
+  auto [in, handle] = NewInput<uint64_t>(b);
+  StageId count = b.NewStage<CountPerKeyVertex>(
+      StageOptions{.name = "count"},
+      [](uint32_t) { return std::make_unique<CountPerKeyVertex>(); });
+  b.Connect<CountPerKeyVertex, uint64_t>(in, count, 0,
+                                         [](const uint64_t& k) { return k; });
+  Subscribe<std::pair<uint64_t, uint64_t>>(
+      b.OutputOf<std::pair<uint64_t, uint64_t>>(count),
+      [&loop](uint64_t epoch, std::vector<std::pair<uint64_t, uint64_t>>& recs) {
+        std::lock_guard<std::mutex> lock(loop.mu);
+        for (auto [k, n] : recs) {
+          loop.got[epoch][k] += n;
+        }
+        loop.delivered = epoch + 1;
+        loop.cv.notify_all();
+      });
+  ctl.Start();
+  const uint32_t pid = ctl.config().process_id;
+  for (uint64_t e = 0; e < epochs; ++e) {
+    if (before_epoch) {
+      before_epoch(e);
+    }
+    {
+      std::unique_lock<std::mutex> lock(loop.mu);
+      loop.cv.wait(lock, [&] { return loop.delivered >= e; });
+    }
+    std::vector<uint64_t> data;
+    for (uint64_t i = 0; i < kWakeRecords; ++i) {
+      data.push_back(WakeRecord(pid, e, i));
+    }
+    handle->OnNext(std::move(data));
+  }
+  handle->OnCompleted();
+  ctl.Join();
+}
+
+// The closed loop's expected output for epoch e: the records both processes fed.
+std::map<uint64_t, uint64_t> ClosedLoopEpoch(uint64_t e) {
+  std::map<uint64_t, uint64_t> want;
+  for (uint32_t pid = 0; pid < 2; ++pid) {
+    for (uint64_t i = 0; i < kWakeRecords; ++i) {
+      ++want[WakeRecord(pid, e, i)];
+    }
+  }
+  return want;
+}
+
 ClusterStats RunClosedLoop(ProgressStrategy strategy, ClosedLoop& loop) {
   return Cluster::Run(WakeOptions(strategy), [&loop](Controller& ctl) {
-    GraphBuilder b(ctl);
-    auto [in, handle] = NewInput<uint64_t>(b);
-    StageId count = b.NewStage<CountPerKeyVertex>(
-        StageOptions{.name = "count"},
-        [](uint32_t) { return std::make_unique<CountPerKeyVertex>(); });
-    b.Connect<CountPerKeyVertex, uint64_t>(in, count, 0,
-                                           [](const uint64_t& k) { return k; });
-    Subscribe<std::pair<uint64_t, uint64_t>>(
-        b.OutputOf<std::pair<uint64_t, uint64_t>>(count),
-        [&loop](uint64_t epoch, std::vector<std::pair<uint64_t, uint64_t>>& recs) {
-          std::lock_guard<std::mutex> lock(loop.mu);
-          for (auto [k, n] : recs) {
-            loop.got[epoch][k] += n;
-          }
-          loop.delivered = epoch + 1;
-          loop.cv.notify_all();
-        });
-    ctl.Start();
-    const uint32_t pid = ctl.config().process_id;
-    for (uint64_t e = 0; e < kWakeEpochs; ++e) {
-      {
-        std::unique_lock<std::mutex> lock(loop.mu);
-        loop.cv.wait(lock, [&] { return loop.delivered >= e; });
-      }
-      std::vector<uint64_t> data;
-      for (uint64_t i = 0; i < kWakeRecords; ++i) {
-        data.push_back(WakeRecord(pid, e, i));
-      }
-      handle->OnNext(std::move(data));
-    }
-    handle->OnCompleted();
-    ctl.Join();
+    RunClosedLoopBody(ctl, loop, kWakeEpochs);
   });
 }
 
@@ -474,13 +503,7 @@ TEST_P(EventDrivenProgress, NoMissedWakeups) {
   ClosedLoop loop;
   const ClusterStats count_stats = RunClosedLoop(GetParam(), loop);
   for (uint64_t e = 0; e < kWakeEpochs; ++e) {
-    std::map<uint64_t, uint64_t> want;
-    for (uint32_t pid = 0; pid < 2; ++pid) {
-      for (uint64_t i = 0; i < kWakeRecords; ++i) {
-        ++want[WakeRecord(pid, e, i)];
-      }
-    }
-    ASSERT_EQ(loop.got[e], want) << "epoch " << e;
+    ASSERT_EQ(loop.got[e], ClosedLoopEpoch(e)) << "epoch " << e;
   }
   EXPECT_EQ(count_stats.missed_wakeups, 0u) << "Count->Subscribe loop";
 
@@ -500,6 +523,98 @@ INSTANTIATE_TEST_SUITE_P(
       std::erase(name, '+');  // "Local+GlobalAcc" is not a valid test name
       return name;
     });
+
+// ---------------------------------------------------------------------------------------
+// The §3.4 pause on shared hosts. Job A pauses its workers mid-run (PauseAndDrain) and
+// holds the pause while job B, on the same hosts and links, completes every one of its
+// epochs; A then captures a checkpoint image, resumes and finishes. The pause must
+// return, both outputs must equal their solo runs, and no host park may end by timeout
+// with work waiting. No latency bound: the watchdog only turns a hung pause into a
+// failure instead of a stuck test.
+
+constexpr uint64_t kPausedLoopEpochs = 10;  // job B's epochs, all run while A is paused
+
+TEST(JobServerPause, PausedJobCheckpointsWhileOtherJobRuns) {
+  std::mutex guard_mu;
+  std::condition_variable guard_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(guard_mu);
+    if (!guard_cv.wait_for(lock, std::chrono::seconds(120), [&] { return finished; })) {
+      std::fprintf(stderr, "PausedJobCheckpointsWhileOtherJobRuns: hung for 120 s "
+                           "(a paused job that never drains, or one that stalls the "
+                           "other job)\n");
+      std::abort();
+    }
+  });
+
+  JobServer server(ServerOptions());
+  server.Start();
+  JobResult a;
+  ClosedLoop b;
+  std::atomic<uint32_t> a_paused{0};
+  std::atomic<uint32_t> a_images{0};
+
+  const JobId ja = server.Submit([&](Controller& ctl) {
+    GraphBuilder gb(ctl);
+    InputHandle<uint64_t>* handle = BuildCountGraph(ctl, gb, &a);
+    ctl.Start();
+    const uint32_t pid = ctl.config().process_id;
+    const auto feed = [&](uint64_t e) {
+      std::vector<uint64_t> data;
+      for (uint64_t i = 0; i < kRecordsPerEpoch; ++i) {
+        data.push_back(Record(5, pid, e, i));
+      }
+      handle->OnNext(std::move(data));
+    };
+    feed(0);
+    {
+      // Epoch 0 has drained on every process, so no message of this job is in flight:
+      // the quiet that PauseAndDrain asks of producers outside this process.
+      std::unique_lock<std::mutex> lock(a.mu);
+      a.cv.wait(lock, [&] { return a.epochs >= 1; });
+    }
+    ctl.PauseAndDrain();
+    a_paused.fetch_add(1, std::memory_order_acq_rel);
+    {
+      std::unique_lock<std::mutex> lock(b.mu);
+      b.cv.wait(lock, [&] { return b.delivered >= kPausedLoopEpochs; });
+    }
+    if (!CheckpointProcess(ctl).empty()) {  // pauses (already paused), captures, resumes
+      a_images.fetch_add(1, std::memory_order_acq_rel);
+    }
+    for (uint64_t e = 1; e < kEpochs; ++e) {
+      feed(e);
+    }
+    handle->OnCompleted();
+    ctl.Join();
+  });
+  const JobId jb = server.Submit([&](Controller& ctl) {
+    RunClosedLoopBody(ctl, b, kPausedLoopEpochs, [&](uint64_t e) {
+      if (e == 0) {
+        while (a_paused.load(std::memory_order_acquire) < kProcesses) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    });
+  });
+  server.Wait(ja);
+  server.Wait(jb);
+  const ClusterStats stats = server.Stop();
+  {
+    std::lock_guard<std::mutex> lock(guard_mu);
+    finished = true;
+  }
+  guard_cv.notify_all();
+  watchdog.join();
+
+  EXPECT_EQ(a_images.load(), kProcesses);
+  EXPECT_EQ(a.counts, ExpectedCounts(5, kEpochs));
+  for (uint64_t e = 0; e < kPausedLoopEpochs; ++e) {
+    EXPECT_EQ(b.got[e], ClosedLoopEpoch(e)) << "job B epoch " << e;
+  }
+  EXPECT_EQ(stats.missed_wakeups, 0u);
+}
 
 }  // namespace
 }  // namespace naiad

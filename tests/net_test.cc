@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -246,16 +249,26 @@ TEST(SocketTest, BackoffNextStopsAtMaxAttempts) {
 // bounded number of attempts — the behavior ConnectLocal's old fixed 200us spin provided,
 // now with jittered exponential spacing.
 TEST(SocketTest, ConnectLocalReachesLateListener) {
-  uint16_t port;
-  {
-    Listener probe;  // reserve a port number, then free it for the late listener
-    port = probe.Open();
-    ASSERT_NE(port, 0);
-  }
+  // Reserve the port with a socket that is bound but not listening: dials are refused,
+  // and no ephemeral bind or connect, in this process or a concurrent one, can take the
+  // port. The late listener binds it alongside the reservation (both SO_REUSEADDR,
+  // neither listening yet), so the port is never free.
+  const int reserve = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(reserve, 0);
+  int one = 1;
+  ::setsockopt(reserve, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(reserve, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::getsockname(reserve, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const uint16_t port = ntohs(addr.sin_port);
   Listener late;
   std::thread opener([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    late.Open(port);
+    EXPECT_EQ(late.Open(port), port);
+    ::close(reserve);
   });
   uint32_t attempts = 0;
   Socket client = Socket::ConnectLocal(
@@ -273,6 +286,54 @@ TEST(SocketTest, ConnectLocalReachesLateListener) {
   std::vector<uint8_t> got(1);
   ASSERT_TRUE(server.ReadAll(got));
   EXPECT_EQ(got, msg);
+}
+
+// A restarted generation takes over its predecessor's listen socket instead of closing
+// it and rebinding the port: while the hand-off is pending no other socket can bind the
+// port, and a dial made in that gap is accepted by the next generation.
+TEST(TransportTest, ListenerHandOffKeepsPortAcrossGenerations) {
+  std::atomic<uint32_t> got{0};
+  auto callbacks = [&] {
+    TcpTransport::Callbacks cb;
+    cb.on_frame = [&](FrameType, uint32_t, uint32_t, std::span<const uint8_t> p, bool) {
+      if (p.size() == 1 && p[0] == 7) {
+        got.fetch_add(1);
+      }
+    };
+    return cb;
+  };
+  TcpTransport a0(0, 2);
+  TcpTransport b0(1, 2);
+  std::vector<uint16_t> ports = {a0.Listen(), b0.Listen()};
+  std::thread start_b0([&] { b0.Start(ports, callbacks()); });
+  a0.Start(ports, callbacks());
+  start_b0.join();
+  a0.Abort();
+  b0.Abort();
+
+  Listener held = a0.ReleaseListener();
+  ASSERT_TRUE(held.valid());
+  Listener thief;
+  EXPECT_EQ(thief.Open(ports[0]), 0) << "the port was free during the hand-off";
+
+  TcpTransport a1(0, 2);
+  TcpTransport b1(1, 2);
+  a1.SetGeneration(1);
+  b1.SetGeneration(1);
+  a1.Listen(std::move(held));
+  ports[1] = b1.Listen();
+  // b1 dials process 0 before a1 has started: the dial completes into the held
+  // listener's backlog, and a1's acceptor picks it up once it runs.
+  b1.Start(ports, callbacks());
+  a1.Start(ports, callbacks());
+  b1.Send(0, FrameType::kData, {7});
+  a1.Send(1, FrameType::kData, {7});
+  for (int spin = 0; spin < 5000 && got.load() < 2; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(got.load(), 2u);
+  a1.Shutdown();
+  b1.Shutdown();
 }
 
 // Starts policies.size() transports on a full loopback mesh, one LinkPolicy and one
