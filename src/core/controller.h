@@ -42,11 +42,15 @@ struct Config {
   EventCount* shared_event = nullptr;
 };
 
-// Ships serialized record bundles to peer processes; implemented by src/net.
+// Ships serialized record bundles to peer processes; implemented by src/net (a job's
+// adapter onto the TCP mesh) and src/ft (selective recovery's outbound logs, which log
+// each bundle and forward it to the job's adapter). `ch`, `t` and `count` describe the
+// bundle RouteBundle encoded into `frame`: its connector, timestamp and record count.
 class DataTransport {
  public:
   virtual ~DataTransport() = default;
-  virtual void SendBundle(uint32_t dst_process, std::vector<uint8_t> frame) = 0;
+  virtual void SendBundle(uint32_t dst_process, ConnectorId ch, const Timestamp& t,
+                          int64_t count, std::vector<uint8_t> frame) = 0;
 };
 
 class Controller {
@@ -131,16 +135,6 @@ class Controller {
   // account the retirement the delivery would have produced.
   void DiscardRemoteBundle(std::span<const uint8_t> frame);
 
-  // When set (before Start), RouteBundle's remote arm hands each outbound frame to the
-  // tap instead of calling transport->SendBundle directly. The tap owns the ordering
-  // contract of selective recovery's outbound logs: it must append the frame to the
-  // per-destination log and enqueue it on the transport under one lock, so log order
-  // always equals the link's data sequence numbering.
-  using SendTap = std::function<void(uint32_t dst_process, ConnectorId ch,
-                                     const Timestamp& t, int64_t count,
-                                     std::vector<uint8_t>&& frame)>;
-  void SetSendTap(SendTap tap) { send_tap_ = std::move(tap); }
-
   // The observability runtime — always constructed (cheap no-op objects when disabled),
   // so workers and the transport can hold unconditional pointers into it.
   obs::Obs& obs() const { return *obs_; }
@@ -222,7 +216,6 @@ class Controller {
   DataTransport* transport_ = nullptr;
   std::function<void()> quiesce_hook_;
   std::function<void(Controller&, ProgressBuffer&)> start_override_;
-  SendTap send_tap_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unordered_map<uint64_t, std::unique_ptr<VertexBase>> vertices_;

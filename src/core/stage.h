@@ -100,14 +100,7 @@ void Controller::RouteBundle(ConnectorId ch, uint32_t dst_vertex, const Timestam
     def.encode_batch(w, &recs);
     data_bytes_sent.fetch_add(w.size(), std::memory_order_relaxed);
     data_bundles_sent.fetch_add(1, std::memory_order_relaxed);
-    if (send_tap_) {
-      // The tap (selective recovery's outbound logger) appends the frame to its durable
-      // per-destination log and forwards it to the transport under one lock, so the log's
-      // record order equals the link's sequence numbering.
-      send_tap_(proc, ch, t, count, std::move(w.buffer()));
-    } else {
-      transport_->SendBundle(proc, std::move(w.buffer()));
-    }
+    transport_->SendBundle(proc, ch, t, count, std::move(w.buffer()));
   }
 }
 

@@ -21,7 +21,7 @@
 #include "src/base/stopwatch.h"
 #include "src/ft/log_recovery.h"
 #include "src/ft/recovery.h"
-#include "src/net/progress_router.h"
+#include "src/net/job_stack.h"
 #include "src/ser/bytes.h"
 
 namespace naiad {
@@ -112,9 +112,9 @@ bool ReadRecord(int fd, Record* rec) {
 
 // ---- the member (child) side --------------------------------------------------------
 
-// One cluster member: a full Controller/TcpTransport/ClusterControl stack plus the pipe
-// protocol to the supervisor. Lives in the forked child; never returns to the test body
-// (the child _exits with Run's result).
+// One cluster member: its dataflow on a JobStack (job 0) over its own TcpTransport, plus
+// what recovery adds around them and the pipe protocol to the supervisor. Lives in the
+// forked child; never returns to the test body (the child _exits with Run's result).
 class MemberRunner {
  public:
   MemberRunner(const ClusterRunConfig& cfg, uint32_t slot, int status_fd, int ctl_fd,
@@ -135,6 +135,9 @@ class MemberRunner {
     kSelectiveSurvivor,     // restore the pre-teardown in-memory stall image
     kSelectiveReplacement,  // RestoreProcessSelective from disk / FreshStartSelective
   };
+
+  Controller& ctl() { return stack_->ctl(); }
+  ClusterControl& control() { return stack_->control(); }
 
   void SendStatus(uint8_t tag, uint64_t a, uint64_t b, uint64_t c = 0) {
     NAIAD_CHECK(WriteRecord(status_fd_, Record{tag, a, b, c}));
@@ -168,7 +171,7 @@ class MemberRunner {
   void PruneImages(uint64_t committed_epoch) {
     PruneClusterImages(cfg_.ckpt_dir, slot_,
                        CheckpointSchedule(cfg_.total_epochs, cfg_.checkpoint_every),
-                       committed_epoch, cfg_.checkpoint_retain);
+                       committed_epoch, kClusterCheckpointRetain);
   }
   // Survivor-stall accounting: the stall ends when this member has re-passed the last
   // epoch it had fed before the failure (for a coordinated restart that includes
@@ -191,11 +194,9 @@ class MemberRunner {
   const ClusterAppFactory* factory_ = nullptr;
   std::vector<uint16_t> ports_;
 
-  std::unique_ptr<Controller> ctl_;
   std::unique_ptr<TcpTransport> transport_;
   Listener listener_;  // between Teardown and Build: the bound listen socket
-  std::unique_ptr<DistributedProgressRouter> router_;
-  std::unique_ptr<ClusterControl> control_;
+  std::unique_ptr<JobStack> stack_;
   std::unique_ptr<ClusterApp> app_;
   std::unique_ptr<OutboundLogSet> outlogs_;  // kSelective config only
   uint32_t gen_ = 0;
@@ -296,16 +297,6 @@ int MemberRunner::WaitExitOrGo(uint32_t* gen, uint64_t* restore, uint64_t* mode)
 void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_epoch,
                          BuildKind kind) {
   gen_ = gen;
-  Config c;
-  c.process_id = slot_;
-  c.processes = cfg_.processes;
-  c.workers_per_process = cfg_.workers_per_process;
-  c.batch_size = cfg_.batch_size;
-  c.obs = cfg_.obs;
-  if (!c.obs.trace_path.empty()) {
-    c.obs.trace_path += ".p" + std::to_string(slot_);  // one file per member process
-  }
-  ctl_ = std::make_unique<Controller>(c);
   if (!transport_) {
     // A survivor takes over its previous generation's listener, so its published port
     // is never free for another process to take; only a replacement binds anew.
@@ -316,42 +307,31 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
       NAIAD_CHECK(transport_->Listen(ports_[slot_]) == ports_[slot_]);
     }
   }
-  transport_->SetFaultPlan(cfg_.fault_plan);
-  transport_->SetObs(&ctl_->obs());
-  transport_->SetGeneration(gen);
-  {
-    // In-band failure detection: heartbeats keep every link's lease fresh through idle
-    // stretches (barrier waits), and the lease detector turns a peer's silence into the
-    // same ReportFailure path that EOF detection drives — the hint-disabled CI rows
-    // recover on this alone.
-    LinkPolicy lp;
-    lp.heartbeat_interval_ms = cfg_.heartbeat_interval_ms;
-    lp.heartbeat_timeout_ms = cfg_.heartbeat_timeout_ms;
-    transport_->SetLinkPolicy(lp);
+  ClusterOptions opts = cfg_;
+  if (!opts.obs.trace_path.empty()) {
+    opts.obs.trace_path += ".p" + std::to_string(slot_);  // one file per member process
   }
-  router_ = std::make_unique<DistributedProgressRouter>(
-      ctl_.get(), transport_.get(), cfg_.strategy, /*hold_limit=*/1024,
-      cfg_.fault_plan != nullptr ? cfg_.fault_plan->Progress(slot_) : nullptr);
-  ctl_->SetProgressRouter(router_.get());
-  ctl_->SetDataTransport(transport_.get());
-  control_ = std::make_unique<ClusterControl>(ctl_.get(), transport_.get(), router_.get());
+  stack_ = std::make_unique<JobStack>(opts, slot_, *transport_, /*job=*/0);
+  transport_->SetFaultPlan(cfg_.fault_plan);
+  transport_->SetObs(&ctl().obs());
+  transport_->SetGeneration(gen);
+  // Heartbeats keep every link's lease fresh through idle stretches (barrier waits), and
+  // the lease detector turns a peer's silence into the same ReportFailure path that EOF
+  // detection drives — the hint-disabled CI rows recover on this alone.
+  transport_->SetLinkPolicy(cfg_.link_policy());
   if (cfg_.recovery_mode == RecoveryMode::kSelective) {
     // Every generation opens fresh (truncated) outbound logs: their window is anchored
     // at this generation's start point, and record index k toward a peer equals the
-    // link's post-rebase data sequence k because the tap holds the destination lock
+    // link's post-rebase data sequence k because the log holds the destination lock
     // across {append, enqueue}.
-    outlogs_ = std::make_unique<OutboundLogSet>(cfg_.ckpt_dir, slot_, cfg_.processes);
-    OutboundLogSet* logs = outlogs_.get();
-    TcpTransport* tr = transport_.get();
-    ctl_->SetSendTap([logs, tr](uint32_t dst, ConnectorId ch, const Timestamp& t,
-                                int64_t count, std::vector<uint8_t>&& frame) {
-      logs->RecordAndSend(*tr, dst, ch, t, count, std::move(frame));
-    });
-    control_->SetSelectiveMode(true);
+    outlogs_ = std::make_unique<OutboundLogSet>(cfg_.ckpt_dir, slot_, cfg_.processes,
+                                                stack_->data());
+    stack_->InterposeData(outlogs_.get());
+    control().SetSelectiveMode(true);
     recv_rebase_.assign(cfg_.processes, 0);
     last_rebase_epoch_ = restore_epoch;
   }
-  app_ = (*factory_)(*ctl_);
+  app_ = (*factory_)(ctl());
 
   const bool sel_survivor = kind == BuildKind::kSelectiveSurvivor;
   const bool sel_replacement = kind == BuildKind::kSelectiveReplacement;
@@ -364,7 +344,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     // locally. The image's input positions say where this member's feed resumes.
     NAIAD_CHECK(!mem_image_.empty());
     const std::vector<InputEpochs> inputs =
-        RestoreProcessSelective(*ctl_, std::move(mem_image_), &seeds);
+        RestoreProcessSelective(ctl(), std::move(mem_image_), &seeds);
     mem_image_.clear();
     app_->RestoreInputs(inputs);
     uint64_t start = 0;
@@ -382,11 +362,11 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
                             << restore_epoch << " status "
                             << static_cast<int>(res.status);
       const std::vector<InputEpochs> inputs =
-          RestoreProcessSelective(*ctl_, std::move(res.image), &seeds);
+          RestoreProcessSelective(ctl(), std::move(res.image), &seeds);
       app_->RestoreInputs(inputs);
       *start_epoch = restore_epoch + 1;
     } else {
-      FreshStartSelective(*ctl_, &seeds);
+      FreshStartSelective(ctl(), &seeds);
       *start_epoch = 0;
     }
   } else if (restore_epoch != kNoManifestEpoch) {
@@ -397,7 +377,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     NAIAD_CHECK(res.ok()) << "manifest-committed image unreadable: epoch " << restore_epoch
                           << " status " << static_cast<int>(res.status);
     const std::vector<InputEpochs> inputs =
-        RestoreProcess(*ctl_, std::move(res.image), &pending);
+        RestoreProcess(ctl(), std::move(res.image), &pending);
     app_->RestoreInputs(inputs);
     *start_epoch = restore_epoch + 1;
   } else {
@@ -406,32 +386,17 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
 
   {
     std::lock_guard<std::mutex> lock(sup_mu_);
-    current_control_ = control_.get();
+    current_control_ = &control();
     current_gen_ = gen;
   }
   TcpTransport::Callbacks cb;
-  Controller* ctl = ctl_.get();
-  DistributedProgressRouter* router = router_.get();
-  ClusterControl* control = control_.get();
-  // Single-job cluster: every frame carries job 0, so the demux is just a type switch.
-  cb.on_frame = [ctl, router, control](FrameType type, uint32_t src, uint32_t /*job*/,
-                                       std::span<const uint8_t> p, bool /*wire*/) {
-    switch (type) {
-      case FrameType::kData:
-        ctl->ReceiveRemoteBundle(p);
-        break;
-      case FrameType::kProgress:
-        router->OnProgressFrame(src, p);
-        break;
-      case FrameType::kProgressAcc:
-        router->OnAccumulatorFrame(src, p);
-        break;
-      case FrameType::kControl:
-        control->HandleControl(src, p);
-        break;
-    }
+  JobStack* stack = stack_.get();
+  // Every frame carries job 0: the stack's demux takes them all.
+  cb.on_frame = [stack](FrameType type, uint32_t src, uint32_t /*job*/,
+                        std::span<const uint8_t> p, bool wire) {
+    stack->Deliver(type, src, p, wire);
   };
-  cb.on_peer_down = [control](uint32_t peer) { control->ReportFailure(peer); };
+  cb.on_peer_down = [stack](uint32_t peer) { stack->control().ReportFailure(peer); };
   if (sel_survivor) {
     // The replacement deterministically regenerates the data frames the victim already
     // sent us since the watermark; our state already reflects them. Seeding the receive
@@ -440,16 +405,18 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     // replacement's RouteBundle nets out (DiscardRemoteBundle).
     transport_->SeedRecvExpectation(victim_, FrameType::kData, replay_expect_);
     synth_next_ = 0;
-    cb.on_dup_frame = [this, ctl](FrameType type, uint32_t src, uint32_t /*job*/,
-                                  uint64_t seq, std::span<const uint8_t> p) -> bool {
+    cb.on_dup_frame = [this, stack](FrameType type, uint32_t src, uint32_t /*job*/,
+                                    uint64_t seq, std::span<const uint8_t> p) -> bool {
       if (type != FrameType::kData || src != victim_ || seq != synth_next_ ||
           synth_next_ >= replay_expect_) {
         return false;  // not a replayed frame; normal dup accounting applies
       }
       ++synth_next_;
       ++replay_dropped_;
-      ctl->DiscardRemoteBundle(p);
-      return true;  // count as received: the replacement's send side was counted
+      // Retired and counted as received in the job's accounting; returning true does the
+      // same for the transport's counters and the replacement's credit window.
+      stack->DiscardReplayed(p);
+      return true;
     };
   }
   transport_->Start(ports_, std::move(cb));
@@ -462,14 +429,14 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     // resumes until every contribution is globally applied (the ack/release barrier),
     // so no transient negative can be observed as a frontier.
     const uint64_t seed_t0 = obs::MonotonicNs();
-    ctl_->StartPaused();
+    ctl().StartPaused();
     if (sel_survivor) {
       for (const OutboundRecord& rec : resend_) {
         seeds.push_back(ProgressUpdate{
             Pointstamp{rec.time, Location::Connector(rec.ch)}, rec.count});
       }
     }
-    NAIAD_CHECK(control_->RunSeedExchange(seeds))
+    NAIAD_CHECK(control().RunSeedExchange(seeds))
         << "selective seed exchange failed (p" << slot_ << " gen " << gen << ")";
     const uint64_t resend_n = resend_.size();
     if (sel_survivor) {
@@ -478,21 +445,21 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
       // progress updates accompany these sends — the seeds above carried their +counts.
       // ResendTail appends the whole tail and makes it durable with a single Sync
       // before the first frame is sent, instead of one fsync per frame.
-      outlogs_->ResendTail(*transport_, victim_, std::move(resend_));
+      outlogs_->ResendTail(victim_, std::move(resend_));
     }
-    ctl_->Resume();
-    if (ctl_->obs().tracer().enabled()) {
-      ctl_->obs().tracer().ControlSpan(obs::TraceKind::kSelectiveSeed, seed_t0,
+    ctl().Resume();
+    if (ctl().obs().tracer().enabled()) {
+      ctl().obs().tracer().ControlSpan(obs::TraceKind::kSelectiveSeed, seed_t0,
                                        obs::MonotonicNs(), seeds.size(), resend_n,
                                        sel_replacement ? 1 : 0);
     }
     resend_.clear();
   } else {
-    ctl_->Start();
+    ctl().Start();
     // Restored pending-notification +1s travel the ordinary broadcast channel, after
     // Start and strictly before any input is fed (see RestoreProcess's contract).
     if (!pending.empty()) {
-      router_->Broadcast(std::move(pending));
+      stack_->router().Broadcast(std::move(pending));
     }
   }
 }
@@ -503,23 +470,21 @@ void MemberRunner::Teardown() {
     current_control_ = nullptr;
   }
   transport_->Abort();  // unblocks senders mid-write; joins all transport threads
-  ctl_->Stop();
-  missed_wakeups_ += ctl_->missed_wakeups();
-  ExportLogCounters();  // workers are finished: the tap can no longer run
+  ctl().Stop();
+  missed_wakeups_ += ctl().missed_wakeups();
+  ExportLogCounters();  // workers are finished: nothing can send through the logs now
   app_.reset();
-  control_.reset();
-  router_.reset();
   outlogs_.reset();
   listener_ = transport_->ReleaseListener();  // still bound: Build hands it on
-  transport_.reset();
-  ctl_.reset();
+  transport_.reset();  // before the stack: the transport records into the controller's obs
+  stack_.reset();
 }
 
 void MemberRunner::ExportLogCounters() {
-  if (!outlogs_ || !ctl_) {
+  if (!outlogs_ || !stack_) {
     return;
   }
-  if (obs::ProcessMetrics* pm = ctl_->obs().metrics().process()) {
+  if (obs::ProcessMetrics* pm = ctl().obs().metrics().process()) {
     pm->log_records_logged.fetch_add(outlogs_->records_logged(),
                                      std::memory_order_relaxed);
     pm->log_bytes_logged.fetch_add(outlogs_->bytes_logged(), std::memory_order_relaxed);
@@ -563,7 +528,7 @@ void MemberRunner::ResolveStallIfRepassed(uint64_t epoch_passed) {
 
 bool MemberRunner::RunEpochs(uint64_t start_epoch) {
   auto write_image = [this](uint64_t epoch) {
-    std::vector<uint8_t> image = CheckpointProcess(*ctl_);
+    std::vector<uint8_t> image = CheckpointProcess(ctl());
     return WriteCheckpointFile(ClusterImagePath(cfg_.ckpt_dir, slot_, epoch), image);
   };
   auto write_manifest = [this](uint64_t epoch) {
@@ -576,7 +541,7 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
     app_->FeedEpoch(e);
     last_fed_epoch_ = e;
     if (dbg) std::fprintf(stderr, "[p%u g%u] fed epoch %llu\n", slot_, gen_, (unsigned long long)e);
-    ctl_->tracker().WaitFor([&] {
+    ctl().tracker().WaitFor([&] {
       // The stall stopwatch stops the moment the re-pass target clears the frontier,
       // not when this member's own current epoch later passes: a selective survivor
       // waits here several epochs ahead of the replacement's catch-up, and resolving
@@ -584,10 +549,10 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
       if (stall_pending_ && app_->EpochPassed(stall_target_)) {
         ResolveStallIfRepassed(stall_target_);
       }
-      return app_->EpochPassed(e) || control_->recovery_requested();
+      return app_->EpochPassed(e) || control().recovery_requested();
     });
-    if (dbg) std::fprintf(stderr, "[p%u g%u] epoch %llu passed (rec=%d)\n", slot_, gen_, (unsigned long long)e, (int)control_->recovery_requested());
-    if (control_->recovery_requested()) {
+    if (dbg) std::fprintf(stderr, "[p%u g%u] epoch %llu passed (rec=%d)\n", slot_, gen_, (unsigned long long)e, (int)control().recovery_requested());
+    if (control().recovery_requested()) {
       return false;
     }
     ResolveStallIfRepassed(e);
@@ -598,8 +563,8 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
     if (!selective_gen_ && ShouldCheckpoint(e)) {
       SendStatus(kStCheckpointing, e, gen_);
       if (dbg) std::fprintf(stderr, "[p%u g%u] entering ckpt barrier e=%llu\n", slot_, gen_, (unsigned long long)e);
-      if (!control_->RunCheckpointBarrier(e, write_image, write_manifest, rebase_at_cut)) {
-        NAIAD_CHECK(control_->recovery_requested()) << "cluster checkpoint failed outright";
+      if (!control().RunCheckpointBarrier(e, write_image, write_manifest, rebase_at_cut)) {
+        NAIAD_CHECK(control().recovery_requested()) << "cluster checkpoint failed outright";
         return false;
       }
       ++total_commits_;
@@ -613,19 +578,19 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
     // A survivor whose inputs were already past the last epoch skipped the loop above;
     // it still owes the cluster the final collective checkpoint, and its own probe only
     // passes once the replacement's replay catches up.
-    ctl_->tracker().WaitFor([&] {
+    ctl().tracker().WaitFor([&] {
       if (stall_pending_ && app_->EpochPassed(stall_target_)) {
         ResolveStallIfRepassed(stall_target_);
       }
-      return app_->EpochPassed(last) || control_->recovery_requested();
+      return app_->EpochPassed(last) || control().recovery_requested();
     });
-    if (control_->recovery_requested()) {
+    if (control().recovery_requested()) {
       return false;
     }
     ResolveStallIfRepassed(last);
     SendStatus(kStCheckpointing, last, gen_);
-    if (!control_->RunCheckpointBarrier(last, write_image, write_manifest, rebase_at_cut)) {
-      NAIAD_CHECK(control_->recovery_requested()) << "cluster checkpoint failed outright";
+    if (!control().RunCheckpointBarrier(last, write_image, write_manifest, rebase_at_cut)) {
+      NAIAD_CHECK(control().recovery_requested()) << "cluster checkpoint failed outright";
       return false;
     }
     ++total_commits_;
@@ -635,10 +600,10 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
   ResolveStallIfRepassed(cfg_.total_epochs - 1);  // rejoin path: loop may not have run
   app_->CloseInputs();
   if (dbg) std::fprintf(stderr, "[p%u g%u] inputs closed; termination barrier\n", slot_, gen_);
-  if (!control_->RunTerminationBarrier()) {
+  if (!control().RunTerminationBarrier()) {
     return false;
   }
-  ctl_->Stop();
+  ctl().Stop();
   return true;
 }
 
@@ -649,7 +614,7 @@ bool MemberRunner::PrepareSelective() {
   // inside the final checkpoint barrier can leave one survivor committed — fast local
   // fallback — while the other's barrier aborted and it still has epochs to protect).
   const auto abort = [this] {
-    control_->AbortSelectiveStall();
+    control().AbortSelectiveStall();
     return false;
   };
   if (::getenv("NAIAD_SELECTIVE_FALLBACK_INJECT") != nullptr) {
@@ -667,11 +632,11 @@ bool MemberRunner::PrepareSelective() {
     // the rejoin semantics of the coordinated path handle the termination race.
     return abort();
   }
-  victim_ = control_->recovery_victim();
+  victim_ = control().recovery_victim();
   if (victim_ == kNoVictim || victim_ == slot_) {
     return abort();  // nobody attributed the failure; only a coordinated restart is safe
   }
-  if (!control_->RunStallBarrier(victim_)) {
+  if (!control().RunStallBarrier(victim_)) {
     return abort();  // couldn't establish a clean survivor cut; workers were resumed
   }
   // Workers are parked at the stall cut. Everything the victim sent us since the
@@ -679,7 +644,7 @@ bool MemberRunner::PrepareSelective() {
   // replays must therefore be deduped up to this count.
   replay_expect_ =
       transport_->frames_received_from(victim_, FrameType::kData) - recv_rebase_[victim_];
-  mem_image_ = CheckpointProcess(*ctl_);
+  mem_image_ = CheckpointProcess(ctl());
   for (const InputEpochs& in : PeekImageInputs(mem_image_)) {
     if (in.closed) {
       // The kill landed during termination: a closed input cannot be reopened for the
@@ -695,11 +660,11 @@ bool MemberRunner::PrepareSelective() {
 
 void MemberRunner::NoteRecovered(uint64_t t0_ns, uint64_t restore_epoch, uint64_t mode) {
   ++recoveries_;
-  ctl_->obs().tracer().ControlSpan(
+  ctl().obs().tracer().ControlSpan(
       obs::TraceKind::kClusterRecover, t0_ns, obs::MonotonicNs(),
       restore_epoch == kNoManifestEpoch ? 0 : restore_epoch, gen_,
       restore_epoch == kNoManifestEpoch ? 0 : 1);
-  if (obs::ProcessMetrics* pm = ctl_->obs().metrics().process()) {
+  if (obs::ProcessMetrics* pm = ctl().obs().metrics().process()) {
     pm->cluster_recoveries.fetch_add(1, std::memory_order_relaxed);
     if (mode == 1) {
       pm->selective_recoveries.fetch_add(1, std::memory_order_relaxed);
@@ -751,7 +716,7 @@ int MemberRunner::Run(const ClusterAppFactory& factory) {
 
   for (;;) {
     if (RunEpochs(start_epoch)) {
-      SendStatus(kStWakeups, missed_wakeups_ + ctl_->missed_wakeups(), 0);
+      SendStatus(kStWakeups, missed_wakeups_ + ctl().missed_wakeups(), 0);
       SendStatus(kStDone, recoveries_, total_commits_, replay_dropped_);
       uint32_t gen = 0;
       uint64_t restore = kNoManifestEpoch;

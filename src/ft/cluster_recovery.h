@@ -1,8 +1,12 @@
 // Cluster-wide checkpointing and single-process kill-and-recover (§3.4).
 //
-// This is the forked-process counterpart of src/net/cluster.h: N real OS processes, each a
-// full Controller + TcpTransport + DistributedProgressRouter + ClusterControl stack, driven
-// by a single-threaded supervisor (the test parent) over pipes. Because the members are
+// This is the forked-process counterpart of src/net/cluster.h: N real OS processes, each
+// running its dataflow as job 0 on the same JobStack (src/net/job_stack.h: Controller,
+// data adapter, DistributedProgressRouter, ClusterControl, one demux) the job server
+// builds per job, over its own TcpTransport, driven by a single-threaded supervisor (the
+// test parent) over pipes. The member adds only what recovery needs around that stack:
+// the transport generation and listener hand-off, the restore and seed exchange, the
+// outbound logs and the replay dedup hook. Because the members are
 // processes, one of them can be SIGKILLed mid-epoch; the survivors then run the coordinated
 // restart that the thread-mode cluster can only simulate.
 //
@@ -82,41 +86,37 @@ enum class RecoveryMode : uint8_t {
 // CI matrix use it to run the same binaries under both recovery paths.
 RecoveryMode RecoveryModeFromEnv(RecoveryMode def = RecoveryMode::kCoordinated);
 
-struct ClusterRunConfig {
-  uint32_t processes = 3;
-  uint32_t workers_per_process = 2;
-  ProgressStrategy strategy = ProgressStrategy::kLocalGlobalAcc;
-  size_t batch_size = 4096;
+// The member stack's options (ClusterOptions: shape, progress strategy, batch size,
+// fault plan, observability and the transport's LinkPolicy fields) plus the
+// kill-and-recover schedule. Two inherited fields carry member-specific rules: a
+// fault_plan must not inject resets (with on_peer_down armed, an injected reset is
+// indistinguishable from a death) and must outlive the run; obs.trace_path, when set,
+// gets a ".p<id>" suffix per member. The heartbeat lease arms in-band failure detection:
+// a peer silent beyond it is declared down and drives the same ReportFailure path EOF
+// detection uses, so no supervisor hint is required. Size it generously under
+// sanitizers: a false positive is safe (it degenerates to a restart) but wastes a
+// generation. A credit window needs heartbeats (its grants ride on them).
+struct ClusterRunConfig : ClusterOptions {
   uint64_t total_epochs = 6;
   // A cluster checkpoint runs after epoch e when (e+1) % checkpoint_every == 0, and always
   // after the final epoch (so the final state is always on disk for comparison).
   uint64_t checkpoint_every = 2;
   // Directory for per-process images and the MANIFEST; must exist.
   std::string ckpt_dir;
-  // Optional fault plan (reset injection must be off: with on_peer_down armed, an injected
-  // reset is indistinguishable from a death). Must outlive the run.
-  ClusterFaultPlan* fault_plan = nullptr;
-  obs::ObsOptions obs;  // trace_path, when set, gets a ".p<id>" suffix per member
   // Selective recovery additionally keeps per-destination outbound logs in ckpt_dir
   // (outlog_p<src>_to_<dst>) and garbage-collects superseded per-process images at each
   // checkpoint commit (the low watermark).
   RecoveryMode recovery_mode = RecoveryMode::kCoordinated;
-  // In-band failure detection (TcpTransport::LinkPolicy). When the timeout is nonzero,
-  // every member arms the lease detector: a peer silent beyond the lease is declared
-  // down in-band and drives the same ReportFailure path the EOF detection uses — no
-  // supervisor hint required. Size the lease generously under sanitizers: a false
-  // positive is safe (it degenerates to a restart) but wastes a generation.
-  uint32_t heartbeat_interval_ms = 0;
-  uint32_t heartbeat_timeout_ms = 0;
   // When false, the supervisor does NOT hint survivors after a kill (cluster_recovery.cc
   // do_kill): recovery then rests entirely on in-band detection — receiver EOF/RST, a
   // failed write, or lease expiry. The detector-driven CI rows run with this off.
   bool supervisor_hint = true;
-  // Checkpoint GC: retain the newest K committed images per process slot, unlinking
-  // older ones only after a newer commit lands, so a crash between commit and GC leaves
-  // extra images, never too few. 0 = keep everything.
-  uint32_t checkpoint_retain = 2;
 };
+
+// Checkpoint GC: members retain the newest K committed images per process slot,
+// unlinking older ones only after a newer commit lands, so a crash between commit and GC
+// leaves extra images, never too few.
+inline constexpr uint32_t kClusterCheckpointRetain = 2;
 
 // Reads NAIAD_SUPERVISOR_HINT ("1"/"0"); the CI kill-recover matrix uses it to run the
 // same binary with and without the out-of-band supervisor hint.

@@ -1,12 +1,12 @@
 #include "src/ft/log_recovery.h"
 
-#include "src/net/transport.h"
 #include "src/ser/bytes.h"
 
 namespace naiad {
 
-OutboundLogSet::OutboundLogSet(const std::string& dir, uint32_t self, uint32_t nprocs)
-    : dir_(dir), self_(self) {
+OutboundLogSet::OutboundLogSet(const std::string& dir, uint32_t self, uint32_t nprocs,
+                               DataTransport& next)
+    : dir_(dir), self_(self), next_(next) {
   dst_.resize(nprocs);
   for (uint32_t d = 0; d < nprocs; ++d) {
     if (d == self) {
@@ -21,50 +21,47 @@ std::string OutboundLogSet::LogPath(const std::string& dir, uint32_t src, uint32
   return dir + "/outlog_p" + std::to_string(src) + "_to_" + std::to_string(dst);
 }
 
-void OutboundLogSet::RecordAndSend(TcpTransport& transport, uint32_t dst, ConnectorId ch,
-                                   const Timestamp& t, int64_t count,
-                                   std::vector<uint8_t>&& frame) {
-  DstLog& d = *dst_[dst];
+bool OutboundLogSet::AppendLocked(DstLog& d, ConnectorId ch, const Timestamp& t,
+                                  int64_t count, std::span<const uint8_t> frame) {
   ByteWriter w;
   w.WriteU32(ch);
   t.Encode(w);
   w.WriteI64(count);
   w.WriteU32(static_cast<uint32_t>(frame.size()));
   w.WriteBytes(frame.data(), frame.size());
+  if (!d.log->AppendRecord(w.buffer())) {
+    return false;
+  }
+  ++d.records;
+  records_logged_.fetch_add(1, std::memory_order_relaxed);
+  bytes_logged_.fetch_add(w.size(), std::memory_order_relaxed);
+  return true;
+}
+
+void OutboundLogSet::SendBundle(uint32_t dst, ConnectorId ch, const Timestamp& t,
+                                int64_t count, std::vector<uint8_t> frame) {
+  DstLog& d = *dst_[dst];
   std::lock_guard<std::mutex> lock(d.mu);
   // Durable-before-send, under the same lock the transport enqueue happens under: the
   // log must (a) cover every frame that could have reached the wire and (b) list frames
   // in exactly the order the sender numbers them. A failed append here would leave a
   // future selective recovery silently lossy, so it is fatal.
-  NAIAD_CHECK(d.log->AppendRecord(w.buffer()) && d.log->Sync())
+  NAIAD_CHECK(AppendLocked(d, ch, t, count, frame) && d.log->Sync())
       << "outbound log append failed toward process " << dst << " at "
       << d.log->path();
-  ++d.records;
-  records_logged_.fetch_add(1, std::memory_order_relaxed);
-  bytes_logged_.fetch_add(w.size(), std::memory_order_relaxed);
-  transport.SendBundle(dst, std::move(frame));
+  next_.SendBundle(dst, ch, t, count, std::move(frame));
 }
 
-void OutboundLogSet::ResendTail(TcpTransport& transport, uint32_t dst,
-                                std::vector<OutboundRecord>&& tail) {
+void OutboundLogSet::ResendTail(uint32_t dst, std::vector<OutboundRecord>&& tail) {
   DstLog& d = *dst_[dst];
   std::lock_guard<std::mutex> lock(d.mu);
   for (const OutboundRecord& rec : tail) {
-    ByteWriter w;
-    w.WriteU32(rec.ch);
-    rec.time.Encode(w);
-    w.WriteI64(rec.count);
-    w.WriteU32(static_cast<uint32_t>(rec.frame.size()));
-    w.WriteBytes(rec.frame.data(), rec.frame.size());
-    NAIAD_CHECK(d.log->AppendRecord(w.buffer()))
+    NAIAD_CHECK(AppendLocked(d, rec.ch, rec.time, rec.count, rec.frame))
         << "resend re-log failed toward process " << dst << " at " << d.log->path();
-    ++d.records;
-    records_logged_.fetch_add(1, std::memory_order_relaxed);
-    bytes_logged_.fetch_add(w.size(), std::memory_order_relaxed);
   }
   NAIAD_CHECK(d.log->Sync()) << "resend re-log sync failed at " << d.log->path();
   for (OutboundRecord& rec : tail) {
-    transport.SendBundle(dst, std::move(rec.frame));
+    next_.SendBundle(dst, rec.ch, rec.time, rec.count, std::move(rec.frame));
   }
 }
 

@@ -33,8 +33,6 @@
 
 namespace naiad {
 
-class TcpTransport;
-
 // One durably-logged outbound data frame, decoded from a log record.
 struct OutboundRecord {
   ConnectorId ch = 0;
@@ -44,33 +42,35 @@ struct OutboundRecord {
 };
 
 // Per-destination durable append logs of this process's outbound data frames, plus the
-// replay-side loaders. One instance per process per generation; installed as the
-// Controller's send tap so that {log append, transport enqueue} happen under one lock —
-// log order is then identical to the link's sequence numbering, which is what lets a
-// receiver treat "frames received since the watermark" as a log prefix.
-class OutboundLogSet {
+// replay-side loaders. One instance per process per generation, interposed as the job's
+// DataTransport (JobStack::InterposeData) in front of the job's own adapter, so that
+// {log append, transport enqueue} happen under one lock — log order is then identical to
+// the link's sequence numbering, which is what lets a receiver treat "frames received
+// since the watermark" as a log prefix.
+class OutboundLogSet final : public DataTransport {
  public:
   // Logs live at <dir>/outlog_p<self>_to_<dst>. Opening truncates (a replacement owns
-  // its slot's files and starts a fresh post-checkpoint window).
-  OutboundLogSet(const std::string& dir, uint32_t self, uint32_t nprocs);
+  // its slot's files and starts a fresh post-checkpoint window). Every logged frame is
+  // forwarded to `next`, the job's data adapter, which must outlive this set.
+  OutboundLogSet(const std::string& dir, uint32_t self, uint32_t nprocs,
+                 DataTransport& next);
 
   static std::string LogPath(const std::string& dir, uint32_t src, uint32_t dst);
 
-  // The send tap body: encodes [u32 ch][Timestamp][i64 count][u32 len][frame]) as one
-  // CRC-framed record, appends it durably (Sync), and forwards the frame to `transport`
-  // — all under the destination's lock. CHECK-fails if the append fails: a frame sent
-  // but not durably logged would make a later selective recovery silently lossy.
-  void RecordAndSend(TcpTransport& transport, uint32_t dst, ConnectorId ch,
-                     const Timestamp& t, int64_t count, std::vector<uint8_t>&& frame);
+  // Encodes [u32 ch][Timestamp][i64 count][u32 len][frame] as one CRC-framed record,
+  // appends it durably (Sync), and forwards the frame to `next` — all under the
+  // destination's lock. CHECK-fails if the append fails: a frame sent but not durably
+  // logged would make a later selective recovery silently lossy.
+  void SendBundle(uint32_t dst, ConnectorId ch, const Timestamp& t, int64_t count,
+                  std::vector<uint8_t> frame) override;
 
   // Re-sends a validated log tail after a selective stall: re-encodes and appends every
   // record (the post-stall window must list them again — record k rides link sequence k),
-  // then makes the whole batch durable with ONE Sync before any frame reaches the
-  // transport. Same guarantee as per-frame RecordAndSend — no frame can be on the wire
-  // without a durable record covering it — amortized over the tail instead of paying one
-  // fsync per frame on the recovery critical path.
-  void ResendTail(TcpTransport& transport, uint32_t dst,
-                  std::vector<OutboundRecord>&& tail);
+  // then makes the whole batch durable with ONE Sync before any frame reaches `next`.
+  // Same guarantee as per-frame SendBundle — no frame can be on the wire without a
+  // durable record covering it — amortized over the tail instead of paying one fsync per
+  // frame on the recovery critical path.
+  void ResendTail(uint32_t dst, std::vector<OutboundRecord>&& tail);
 
   // Low-watermark GC: truncates every per-destination log (a cluster checkpoint at the
   // current frontier just committed, so everything logged is reflected in durable
@@ -110,8 +110,14 @@ class OutboundLogSet {
     uint64_t records = 0;              // since last rebase
   };
 
+  // The one record encoder: appends [u32 ch][Timestamp][i64 count][u32 len][frame] to
+  // `d`'s log (not yet synced) and counts it. Caller holds d.mu.
+  bool AppendLocked(DstLog& d, ConnectorId ch, const Timestamp& t, int64_t count,
+                    std::span<const uint8_t> frame);
+
   const std::string dir_;
   const uint32_t self_;
+  DataTransport& next_;
   std::vector<std::unique_ptr<DstLog>> dst_;  // indexed by destination; [self_] unused
   std::atomic<uint64_t> bytes_logged_{0};
   std::atomic<uint64_t> records_logged_{0};

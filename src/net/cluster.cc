@@ -28,27 +28,19 @@ constexpr auto kSeedTimeout = std::chrono::seconds(30);
 }  // namespace
 
 ClusterControl::TrafficCounters ClusterControl::SnapshotCounters() const {
+  // Only this job's wire traffic feeds the stability check, so another job's concurrent
+  // chatter cannot keep this barrier from stabilizing (and a quiet job cannot be declared
+  // stable while its own frames are still in flight).
+  const auto sent = [&](FrameType t) {
+    return traffic_->frames_sent[static_cast<size_t>(t)].load(std::memory_order_relaxed);
+  };
+  const auto recv = [&](FrameType t) {
+    return traffic_->frames_received[static_cast<size_t>(t)].load(std::memory_order_relaxed);
+  };
   TrafficCounters c;
-  if (traffic_ != nullptr) {
-    // Job-server mode: only this job's wire traffic feeds the stability check, so another
-    // job's concurrent chatter cannot keep this barrier from stabilizing (and a quiet job
-    // cannot be declared stable while its own frames are still in flight).
-    const auto sent = [&](FrameType t) {
-      return traffic_->frames_sent[static_cast<size_t>(t)].load(std::memory_order_relaxed);
-    };
-    const auto recv = [&](FrameType t) {
-      return traffic_->frames_received[static_cast<size_t>(t)].load(
-          std::memory_order_relaxed);
-    };
-    c.v = {sent(FrameType::kData),        recv(FrameType::kData),
-           sent(FrameType::kProgress),    recv(FrameType::kProgress),
-           sent(FrameType::kProgressAcc), recv(FrameType::kProgressAcc)};
-    return c;
-  }
-  const TcpTransport& t = *transport_;
-  c.v = {t.frames_sent(FrameType::kData),        t.frames_received(FrameType::kData),
-         t.frames_sent(FrameType::kProgress),    t.frames_received(FrameType::kProgress),
-         t.frames_sent(FrameType::kProgressAcc), t.frames_received(FrameType::kProgressAcc)};
+  c.v = {sent(FrameType::kData),        recv(FrameType::kData),
+         sent(FrameType::kProgress),    recv(FrameType::kProgress),
+         sent(FrameType::kProgressAcc), recv(FrameType::kProgressAcc)};
   return c;
 }
 

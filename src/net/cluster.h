@@ -88,18 +88,23 @@ struct ClusterOptions {
   // tracing is on, one combined Chrome trace-event file (one pid per process) is written
   // there after the run.
   obs::ObsOptions obs;
-  // Job-server quota: per process, per job, the bytes of frames buffered for a job that is
-  // announced but not yet registered locally. A job exceeding it has further pre-
-  // registration frames dropped (counted in ClusterStats::stash_overflow_drops) — it can
-  // stall itself, never the server or its neighbors.
-  size_t job_stash_limit_bytes = 16 << 20;
   // In-band robustness (TcpTransport::LinkPolicy, applied to every process's transport
-  // before Start). All default-off: no heartbeats, no lease detector, unbounded send
-  // queues — exactly the pre-policy behavior.
+  // before Start). All default-off: no heartbeats, no lease detector, no credit window —
+  // exactly the pre-policy behavior. The credit window needs heartbeats: its grants ride
+  // on them.
   uint32_t heartbeat_interval_ms = 0;  // keeper emits kCtlHeartbeat every interval
   uint32_t heartbeat_timeout_ms = 0;   // lease: silence beyond this declares the peer down
-  size_t max_send_queue_bytes = 0;     // per-link bound on queued data bytes (0 = none)
   size_t credit_window_bytes = 0;      // max unconsumed data bytes in flight (0 = none)
+
+  // The transport policy these options ask for; the job server and the forked cluster
+  // members both configure their transports from it.
+  LinkPolicy link_policy() const {
+    LinkPolicy policy;
+    policy.heartbeat_interval_ms = heartbeat_interval_ms;
+    policy.heartbeat_timeout_ms = heartbeat_timeout_ms;
+    policy.credit_window_bytes = credit_window_bytes;
+    return policy;
+  }
 };
 
 struct ClusterStats {
@@ -149,23 +154,21 @@ struct ClusterStats {
   uint64_t missed_wakeups = 0;
 };
 
-// Per-process cluster control plane: the termination barrier, the checkpoint quiet-point
+// Per-job cluster control plane: the termination barrier, the checkpoint quiet-point
 // barrier, and failure/recovery signalling, all over kControl frames. One instance per
-// (Controller, TcpTransport) generation; recovery tears it down with the rest and builds a
-// fresh one. Process 0 doubles as the coordinator for both barriers; failure reports go to
-// the lowest-ranked survivor.
+// JobStack (src/net/job_stack.h); recovery tears it down with the rest of the stack and
+// builds a fresh one. Process 0 doubles as the coordinator for both barriers; failure
+// reports go to the lowest-ranked survivor.
 class ClusterControl {
  public:
-  // In job-server mode each job gets its own instance: `job` tags every control frame this
-  // instance emits (the server demuxes them back), and `traffic` — the job's wire-traffic
-  // accounting — replaces the transport's global counters in the barrier's stability
-  // checks, so concurrent jobs' traffic cannot keep each other's barriers from
-  // stabilizing. The finished_ latch below is therefore per-job by construction: one job's
-  // termination verdict never stops the server from accepting reports for another
-  // (ISSUE 8's Finish() bug).
+  // `job` tags every control frame this instance emits (the receiver's demux routes them
+  // back to the job's instance), and `traffic` — the job's wire-traffic accounting — is
+  // what the barriers' stability checks read, so concurrent jobs' traffic cannot keep
+  // each other's barriers from stabilizing. The finished_ latch below is therefore per-job
+  // by construction: one job's termination verdict never stops the server from accepting
+  // reports for another.
   ClusterControl(Controller* ctl, TcpTransport* transport,
-                 DistributedProgressRouter* router, uint32_t job = 0,
-                 JobTraffic* traffic = nullptr)
+                 DistributedProgressRouter* router, uint32_t job, JobTraffic* traffic)
       : ctl_(ctl), transport_(transport), router_(router), job_(job), traffic_(traffic) {}
   ClusterControl(const ClusterControl&) = delete;
   ClusterControl& operator=(const ClusterControl&) = delete;

@@ -3,32 +3,30 @@
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/net/job_stack.h"
 
 namespace naiad {
 
-// One registered dataflow on one process: its controller (graph, tracker, vertices,
-// workers), its progress router and control plane, and its wire-traffic accounting. Held
-// by shared_ptr so the demux, the hosts, the driver, and the trace epilogue can each keep
-// it alive across the teardown race without coordinating destruction.
+namespace {
+
+// Per process, per job, the bytes of frames buffered for a job that is announced but not
+// yet registered locally. A job exceeding it has further pre-registration frames dropped
+// (counted in ClusterStats::stash_overflow_drops): it can stall itself, never the server
+// or its neighbors.
+constexpr size_t kJobStashLimitBytes = 16 << 20;
+
+}  // namespace
+
+// One registered dataflow on one process: its JobStack (controller, data adapter,
+// progress router, control plane and wire-traffic accounting) plus the demux's accepting
+// flag. Held by shared_ptr so the demux, the hosts, the driver, and the trace epilogue can
+// each keep it alive across the teardown race without coordinating destruction.
 struct JobServer::JobContext {
-  JobId id = 0;
-  JobTraffic traffic;
+  JobContext(const ClusterOptions& opts, uint32_t process, TcpTransport& transport,
+             JobId job, EventCount* shared_event)
+      : stack(opts, process, transport, job, shared_event) {}
 
-  // DataTransport adapter: stamps this job's id into every record-bundle frame and
-  // credits the job's accounting alongside the transport's global counters.
-  struct Data final : DataTransport {
-    TcpTransport* transport = nullptr;
-    JobContext* ctx = nullptr;
-    void SendBundle(uint32_t dst_process, std::vector<uint8_t> frame) override {
-      transport->Send(dst_process, FrameType::kData, std::move(frame), ctx->id,
-                      &ctx->traffic);
-    }
-  };
-  Data data;
-
-  std::unique_ptr<Controller> ctl;
-  std::unique_ptr<DistributedProgressRouter> router;
-  std::unique_ptr<ClusterControl> control;
+  JobStack stack;
 
   // Flips true (under the process's stash_mu) once the stash has been replayed; the demux
   // delivers directly only after that, so a job's frames are applied in arrival order.
@@ -55,7 +53,7 @@ struct JobServer::ProcessState {
   uint64_t jobs_generation = 0;  // bumped per register/retire; hosts' idle fingerprint
 
   // Frames that arrived before their job registered locally, in arrival order, bounded by
-  // ClusterOptions::job_stash_limit_bytes per job. stash_mu also serializes the accepting
+  // kJobStashLimitBytes per job. stash_mu also serializes the accepting
   // flip against the demux's re-check: a racing frame either lands in the stash (and is
   // replayed in order) or observes the flip and delivers directly — per-link FIFO holds
   // across the handoff.
@@ -159,12 +157,7 @@ void JobServer::Start() {
     ps->transport = std::make_unique<TcpTransport>(p, n);
     ps->transport->SetFaultPlan(opts_.fault_plan);
     ps->transport->SetObs(ps->obs.get());
-    LinkPolicy policy;
-    policy.heartbeat_interval_ms = opts_.heartbeat_interval_ms;
-    policy.heartbeat_timeout_ms = opts_.heartbeat_timeout_ms;
-    policy.max_queue_bytes = opts_.max_send_queue_bytes;
-    policy.credit_window_bytes = opts_.credit_window_bytes;
-    ps->transport->SetLinkPolicy(policy);
+    ps->transport->SetLinkPolicy(opts_.link_policy());
     ports[p] = ps->transport->Listen();
     procs_.push_back(std::move(ps));
   }
@@ -192,7 +185,7 @@ void JobServer::Start() {
           generation = kListChanging;  // a registration is in flight; come back for it
           continue;
         }
-        visit(*ctx->ctl);
+        visit(ctx->stack.ctl());
       }
       return generation;
     };
@@ -234,30 +227,6 @@ void JobServer::Wait(JobId id) {
   done_cv_.wait(lock, [&] { return retired_count_[id] == opts_.processes; });
 }
 
-void JobServer::Deliver(ProcessState& ps, JobContext& ctx, FrameType type, uint32_t src,
-                        std::span<const uint8_t> payload, bool wire) {
-  switch (type) {
-    case FrameType::kData:
-      ctx.ctl->ReceiveRemoteBundle(payload);
-      break;
-    case FrameType::kProgress:
-      ctx.router->OnProgressFrame(src, payload);
-      break;
-    case FrameType::kProgressAcc:
-      ctx.router->OnAccumulatorFrame(src, payload);
-      break;
-    case FrameType::kControl:
-      ctx.control->HandleControl(src, payload);
-      break;
-  }
-  if (wire) {
-    // Counted after delivery, mirroring the transport's global counters: a counted
-    // received frame is already visible to the job's quiet probes.
-    ctx.traffic.frames_received[static_cast<size_t>(type)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-}
-
 void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
                         std::span<const uint8_t> payload, bool wire) {
   if (type == FrameType::kControl && !payload.empty() &&
@@ -276,7 +245,7 @@ void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t
     auto it = ps.jobs.find(job);
     if (it != ps.jobs.end() &&
         it->second->accepting.load(std::memory_order_acquire)) {
-      Deliver(ps, *it->second, type, src, payload, wire);
+      it->second->stack.Deliver(type, src, payload, wire);
       return;
     }
     StashOrDrop(ps, type, src, job, payload, wire);
@@ -286,7 +255,7 @@ void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t
   JobsSharedScope scope(ps.jobs_mu, &ps);
   auto it = ps.jobs.find(job);
   if (it != ps.jobs.end() && it->second->accepting.load(std::memory_order_acquire)) {
-    Deliver(ps, *it->second, type, src, payload, wire);
+    it->second->stack.Deliver(type, src, payload, wire);
     return;
   }
   StashOrDrop(ps, type, src, job, payload, wire);
@@ -305,7 +274,7 @@ void JobServer::StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint
   // replaying the stash, so whichever side wins this lock preserves arrival order.
   auto it = ps.jobs.find(job);
   if (it != ps.jobs.end() && it->second->accepting.load(std::memory_order_acquire)) {
-    Deliver(ps, *it->second, type, src, payload, wire);
+    it->second->stack.Deliver(type, src, payload, wire);
     return;
   }
   const bool known =
@@ -317,7 +286,7 @@ void JobServer::StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint
     return;
   }
   ProcessState::Stash& s = ps.stash[job];
-  if (s.bytes + payload.size() > opts_.job_stash_limit_bytes) {
+  if (s.bytes + payload.size() > kJobStashLimitBytes) {
     ps.stash_drops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -334,29 +303,9 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
     NAIAD_CHECK(it != registry_.end()) << "register for unknown job " << job;
     body = it->second;
   }
-  auto ctx = std::make_shared<JobContext>();
-  ctx->id = job;
-  Config cfg;
-  cfg.process_id = ps.pid;
-  cfg.processes = opts_.processes;
-  cfg.workers_per_process = opts_.workers_per_process;
-  cfg.batch_size = opts_.batch_size;
-  cfg.obs = opts_.obs;
-  cfg.obs.trace_path.clear();  // the server writes one combined file at Stop()
-  cfg.shared_event = &ps.event;
-  ctx->ctl = std::make_unique<Controller>(cfg);
-  ctx->data.transport = ps.transport.get();
-  ctx->data.ctx = ctx.get();
-  ctx->router = std::make_unique<DistributedProgressRouter>(
-      ctx->ctl.get(), ps.transport.get(), opts_.strategy, /*hold_limit=*/1024,
-      opts_.fault_plan != nullptr ? opts_.fault_plan->Progress(ps.pid) : nullptr);
-  ctx->router->SetJobAccounting(job, &ctx->traffic);
-  ctx->ctl->SetProgressRouter(ctx->router.get());
-  ctx->ctl->SetDataTransport(&ctx->data);
-  ctx->control = std::make_unique<ClusterControl>(
-      ctx->ctl.get(), ps.transport.get(), ctx->router.get(), job, &ctx->traffic);
-  ClusterControl* control = ctx->control.get();
-  ctx->ctl->SetQuiesceHook([control] { control->RunTerminationBarrier(); });
+  ClusterOptions job_opts = opts_;
+  job_opts.obs.trace_path.clear();  // the server writes one combined file at Stop()
+  auto ctx = std::make_shared<JobContext>(job_opts, ps.pid, *ps.transport, job, &ps.event);
   {
     std::unique_lock<std::shared_mutex> lock(ps.jobs_mu);
     const bool inserted = ps.jobs.emplace(job, ctx).second;
@@ -382,7 +331,7 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
       sit->second.bytes = 0;
     }
     for (ProcessState::StashedFrame& f : frames) {
-      Deliver(ps, *ctx, f.type, f.src, f.payload, f.wire);
+      ctx->stack.Deliver(f.type, f.src, f.payload, f.wire);
     }
   }
   {
@@ -408,48 +357,50 @@ void JobServer::HandleTeardown(ProcessState& ps, JobId job) {
   // Isolated teardown: interrupt a barrier the job may be blocked in, then cancel its
   // Join. The driver then retires the context exactly as on normal completion; peers do
   // the same when their copy of the teardown arrives.
-  ctx->control->RequestRecovery();
-  ctx->ctl->RequestCancel();
+  ctx->stack.control().RequestRecovery();
+  ctx->stack.ctl().RequestCancel();
 }
 
 void JobServer::DriverMain(ProcessState& ps, std::shared_ptr<JobContext> ctx,
                            const Body& body) {
-  body(*ctx->ctl);
+  body(ctx->stack.ctl());
   RetireJob(ps, std::move(ctx));
 }
 
 void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
+  JobStack& stack = ctx->stack;
+  const JobId id = stack.job();
   // Idempotent: the body's Join already stopped a drained job. Either way the hosts have
   // run every worker's shutdown duties (the forced purge drain, §2.4) when it returns.
-  ctx->ctl->Stop();
+  stack.ctl().Stop();
   {
     std::unique_lock<std::shared_mutex> lock(ps.jobs_mu);
-    ps.jobs.erase(ctx->id);
+    ps.jobs.erase(id);
     ++ps.jobs_generation;
   }
   // The exclusive acquisition above excluded every host pass and in-flight delivery;
   // this thread now solely owns the job's controller.
   {
     std::lock_guard<std::mutex> lock(ps.stash_mu);
-    ps.retired.insert(ctx->id);
-    auto sit = ps.stash.find(ctx->id);
+    ps.retired.insert(id);
+    auto sit = ps.stash.find(id);
     if (sit != ps.stash.end()) {
       // Stashed but never delivered (e.g. frames that raced a teardown): strays now.
       ps.stray_dropped.fetch_add(sit->second.frames.size(), std::memory_order_relaxed);
       ps.stash.erase(sit);
     }
   }
-  const bool torn = ctx->ctl->cancelled();
+  const bool torn = stack.ctl().cancelled();
   {
     std::lock_guard<std::mutex> lock(done_mu_);
-    ClusterStats::JobStats& js = job_stats_[ctx->id];
-    js.job = ctx->id;
+    ClusterStats::JobStats& js = job_stats_[id];
+    js.job = id;
     const auto frames = [&](FrameType t) {
-      return ctx->traffic.frames_sent[static_cast<size_t>(t)].load(
+      return stack.traffic().frames_sent[static_cast<size_t>(t)].load(
           std::memory_order_relaxed);
     };
     const auto bytes = [&](FrameType t) {
-      return ctx->traffic.bytes_sent[static_cast<size_t>(t)].load(
+      return stack.traffic().bytes_sent[static_cast<size_t>(t)].load(
           std::memory_order_relaxed);
     };
     js.data_frames += frames(FrameType::kData);
@@ -457,16 +408,16 @@ void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
     js.progress_frames += frames(FrameType::kProgress) + frames(FrameType::kProgressAcc);
     js.progress_bytes += bytes(FrameType::kProgress) + bytes(FrameType::kProgressAcc);
     js.torn_down = js.torn_down || torn;
-    occ_map_peak_ += ctx->ctl->tracker().Stats().occ_map_peak;
+    occ_map_peak_ += stack.ctl().tracker().Stats().occ_map_peak;
     if (opts_.obs.metrics) {
       // The job's workers are quiescent (exclusive acquisition above) and its blocks are
       // final; merge them now so the context can be dropped.
-      ctx->ctl->obs().metrics().AccumulateInto(snapshot_builder_, ps.pid);
+      stack.ctl().obs().metrics().AccumulateInto(snapshot_builder_, ps.pid);
     }
     if (opts_.obs.tracing && !opts_.obs.trace_path.empty()) {
       ps.done_ctxs.push_back(ctx);  // keep the job's trace rings alive for the epilogue
     }
-    ++retired_count_[ctx->id];
+    ++retired_count_[id];
   }
   done_cv_.notify_all();
 }
@@ -568,7 +519,7 @@ ClusterStats JobServer::Stop() {
       }
       for (uint32_t p = 0; p < opts_.processes; ++p) {
         for (const auto& ctx : procs_[p]->done_ctxs) {
-          parts.emplace_back(1000 * ctx->id + p, &ctx->ctl->obs().tracer());
+          parts.emplace_back(1000 * ctx->stack.job() + p, &ctx->stack.ctl().obs().tracer());
         }
       }
       obs::Tracer::WriteFile(opts_.obs.trace_path, parts);

@@ -6,20 +6,22 @@
 // at runtime over kControl frames (kCtlRegisterJob / kCtlTeardownJob), run concurrently on
 // the shared hosts and links, and are isolated by the JobId every frame header carries:
 //
-//   - Each job gets its own Controller (graph, tracker with its own epoch space, input
-//     stages, vertices, keep-alive holders), DistributedProgressRouter, and
-//     ClusterControl, so frontiers, epochs, and termination barriers never mix across
-//     jobs. The per-job ClusterControl also makes completion per-job: one job's
-//     termination verdict latches only its own finished_ flag, so the server keeps
-//     accepting reports and registrations afterwards.
+//   - Each job gets its own JobStack (src/net/job_stack.h): Controller (graph, tracker
+//     with its own epoch space, input stages, vertices, keep-alive holders), data
+//     adapter, DistributedProgressRouter, ClusterControl and wire-traffic accounting, so
+//     frontiers, epochs, and termination barriers never mix across jobs. It is the same
+//     stack a forked cluster member (src/ft/cluster_recovery.h) runs its one job on. The
+//     per-job ClusterControl also makes completion per-job: one job's termination verdict
+//     latches only its own finished_ flag, so the server keeps accepting reports and
+//     registrations afterwards.
 //   - Host thread k of a process drives worker k of every registered job (one scheduling
 //     pass per job per tick, in the RunWorkerHost loop a standalone Controller also
 //     runs), preserving the one-owner-thread contract each Worker assumes.
-//   - The demux delivers a frame to its job's context while holding the jobs table's
-//     shared lock; teardown retires a context under the exclusive lock, so a frame is
-//     either delivered to a live job or dropped — never handed to freed vertices. Frames
-//     for a job announced but not yet registered locally are stashed (bounded by
-//     ClusterOptions::job_stash_limit_bytes, the per-job buffered-bytes quota) and
+//   - The demux delivers a frame to its job's stack (JobStack::Deliver) while holding
+//     the jobs table's shared lock; teardown retires a context under the exclusive lock,
+//     so a frame is either delivered to a live job or dropped — never handed to freed
+//     vertices. Frames for a job announced but not yet registered locally are stashed
+//     (bounded by a fixed per-job buffered-bytes quota, kJobStashLimitBytes) and
 //     replayed in arrival order at registration, which generalizes the Controller's
 //     early_frames_ stash across the registration race. Frames for unknown or
 //     already-torn-down jobs are dropped deterministically: counted
@@ -103,8 +105,6 @@ class JobServer {
                std::span<const uint8_t> payload, bool wire);
   void StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
                    std::span<const uint8_t> payload, bool wire);
-  void Deliver(ProcessState& ps, JobContext& ctx, FrameType type, uint32_t src,
-               std::span<const uint8_t> payload, bool wire);
   void HandleRegister(ProcessState& ps, JobId job);
   void HandleTeardown(ProcessState& ps, JobId job);
   void DriverMain(ProcessState& ps, std::shared_ptr<JobContext> ctx, const Body& body);

@@ -609,9 +609,15 @@ void TcpTransport::ReceiverMain(uint32_t src, RecvLink& link) {
         if (cb_.on_dup_frame && !shutdown_.load(std::memory_order_acquire) &&
             cb_.on_dup_frame(type, frame_src, job, seq, payload)) {
           // A deliberately-dropped replayed frame: its send was counted, so its retirement
-          // must be too, or the barrier's cluster-wide sent==received never balances.
+          // must be too, or the barrier's cluster-wide sent==received never balances. Its
+          // bytes were charged to the sender's window too; without the credit, a replay
+          // longer than the window parks the sender for good.
           frames_received_[static_cast<size_t>(type)].fetch_add(1,
                                                                std::memory_order_relaxed);
+          if (type == FrameType::kData) {
+            link.consumed_data_bytes.fetch_add(kFrameWireHeaderBytes + len,
+                                               std::memory_order_relaxed);
+          }
         }
         continue;
       }

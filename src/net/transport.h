@@ -12,9 +12,10 @@
 // (TCP delivers all bytes written before the close), then resumes on the replacement.
 //
 // Frames: [u32 length][u8 type][u32 src_process][u32 job][u64 seq][payload]. The job id
-// routes the frame to a registered dataflow on a multi-tenant job server (0 is the
-// single-job/legacy id); `seq` is a per-link per-frame-type sequence number the sender
-// thread assigns at write time and the receiver uses to drop duplicate deliveries.
+// routes the frame to the receiving process's JobStack for that dataflow (a forked
+// cluster member runs job 0; the job server numbers its jobs from 1); `seq` is a
+// per-link per-frame-type sequence number the sender thread assigns at write time and
+// the receiver uses to drop duplicate deliveries.
 // Self-addressed sends dispatch directly (no socket to self), preserving the "broadcast
 // includes self" semantics.
 
@@ -99,11 +100,11 @@ struct JobTraffic {
   std::atomic<uint64_t> frames_received[kNumFrameTypes] = {};
 };
 
-class TcpTransport final : public DataTransport {
+class TcpTransport {
  public:
   struct Callbacks {
-    // Single dispatch arm for every frame type. `job` is the frame header's job id (0
-    // for single-job/legacy senders); `wire` distinguishes frames that crossed a socket
+    // Single dispatch arm for every frame type. `job` is the frame header's job id, which
+    // the owner maps to its JobStack; `wire` distinguishes frames that crossed a socket
     // from inline self-dispatches (the latter are never counted as received — see
     // Dispatch). Runs on receive threads, or inline on the sender for self-sends.
     std::function<void(FrameType type, uint32_t src, uint32_t job,
@@ -118,19 +119,21 @@ class TcpTransport final : public DataTransport {
     std::function<void(uint32_t peer)> on_peer_down;
     // Duplicate-frame observer (optional). Fired from the receive thread when a frame's
     // per-type sequence number was already dispatched on this link and the frame is about
-    // to be dropped. Returning true counts the drop as received in the global per-type
-    // counters: selective recovery routes a replacement's replayed frames through the
-    // dedup path, and the checkpoint barrier's cluster-wide sent==received accounting
-    // must still balance for frames a survivor deliberately drops (their send side WAS
-    // counted). Fault-injected duplicates — whose extra wire emission was never counted
-    // as sent — must return false, preserving the original accounting.
+    // to be dropped. Returning true retires the drop like a delivery: it counts as
+    // received in the global per-type counters and, for data, its bytes are credited
+    // back to the sender's window. Selective recovery routes a replacement's replayed
+    // frames through the dedup path; their send side WAS counted and their bytes WERE
+    // charged to the sender's credit, so the checkpoint barrier's sent==received check
+    // and the replacement's credit window both need the retirement. Fault-injected
+    // duplicates — whose extra wire emission was never counted as sent nor charged —
+    // must return false, preserving the original accounting.
     std::function<bool(FrameType type, uint32_t src, uint32_t job, uint64_t seq,
                        std::span<const uint8_t> payload)>
         on_dup_frame;
   };
 
   TcpTransport(uint32_t process_id, uint32_t processes);
-  ~TcpTransport() override;
+  ~TcpTransport();
 
   // Optional fault plan; must be set before Start() and outlive the transport.
   void SetFaultPlan(ClusterFaultPlan* plan) { fault_plan_ = plan; }
@@ -165,12 +168,6 @@ class TcpTransport final : public DataTransport {
   // Phase 2 (per-process thread): establish the mesh given everyone's ports, then start
   // the I/O threads. Callbacks fire on receive threads (or inline for self-sends).
   void Start(const std::vector<uint16_t>& ports, Callbacks cb);
-
-  // DataTransport: ship a record bundle (single-job/legacy path, job 0). The job server
-  // gives each job its own adapter that calls Send with the job's id and accounting.
-  void SendBundle(uint32_t dst_process, std::vector<uint8_t> frame) override {
-    Send(dst_process, FrameType::kData, std::move(frame));
-  }
 
   // `acct`, when set, receives the same sent-frame/sent-byte credit as the global
   // counters (i.e. only frames actually enqueued; dropped-at-close and self-sends are

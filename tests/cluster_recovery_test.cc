@@ -194,10 +194,17 @@ bool SeedKillsInBarrier(uint64_t seed) {
   return (kr.Next() & 1) != 0;
 }
 
-ClusterKillOutcome SweepSeed(uint64_t seed) {
-  const std::string dir = FreshDir("seed_" + std::to_string(seed));
+// Flow control for the credit shard: below one replay's bytes toward a survivor (a few
+// epochs of one victim's bundles), so a selective replacement whose deduped replay did
+// not return its credit would park for good.
+constexpr size_t kSweepCreditWindowBytes = 512;
+
+ClusterKillOutcome SweepSeed(uint64_t seed, size_t credit_window_bytes = 0) {
+  const std::string dir = FreshDir(
+      (credit_window_bytes != 0 ? "credit_seed_" : "seed_") + std::to_string(seed));
   ClusterKillRecoverDriver::Options opts;
   opts.cfg = BaseConfig(dir);
+  opts.cfg.credit_window_bytes = credit_window_bytes;
   opts.seed = seed;
   opts.inject_kill = true;
   const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
@@ -257,6 +264,42 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClusterKillSweep,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "Shard" + std::to_string(info.param);
                          });
+
+// Recovery with flow control on: seeds 50..59 (past the plain sweep's 0..49) with every
+// member's transport under a kSweepCreditWindowBytes credit window. Same acceptance as
+// the sweep — byte-identical final images against the uncredited clean reference — and
+// its own clean run must match that reference with zero missed wakeups: a window only
+// throttles, it changes no result and needs no timeout to make progress. Replay one seed
+// with `--gtest_filter='*Credit*' --seed=N`.
+TEST(ClusterKillSweepCredit, FinalImagesMatchCleanRun) {
+  if (g_seed_override.has_value()) {
+    SweepSeed(*g_seed_override, kSweepCreditWindowBytes);
+    return;
+  }
+  {
+    const std::string dir = FreshDir("credit_clean");
+    ClusterKillRecoverDriver::Options opts;
+    opts.cfg = BaseConfig(dir);
+    opts.cfg.credit_window_bytes = kSweepCreditWindowBytes;
+    opts.inject_kill = false;
+    const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
+    ASSERT_TRUE(out.launched && out.ok) << "clean run with a credit window failed";
+    EXPECT_EQ(out.stats.missed_wakeups, 0u);
+    const auto images = FinalImages(opts.cfg);
+    for (uint32_t p = 0; p < opts.cfg.processes; ++p) {
+      EXPECT_EQ(images[p], CleanReference()[p]) << "credit clean run: process " << p;
+    }
+  }
+  uint64_t total_recoveries = 0;
+  for (uint64_t seed = 50; seed < 60; ++seed) {
+    const ClusterKillOutcome out = SweepSeed(seed, kSweepCreditWindowBytes);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+    total_recoveries += out.stats.recoveries;
+  }
+  EXPECT_GE(total_recoveries, 1u);
+}
 
 TEST(ClusterRecoveryTest, CleanRunCommitsManifestAndImages) {
   const CleanRun& clean = CleanReferenceRun();
@@ -393,14 +436,14 @@ TEST(ClusterRecoveryTest, DetectorDrivenRecoveryWithoutHint) {
 }
 
 TEST(ClusterRecoveryTest, RetainKPrunesSupersededImagesOnDisk) {
-  // 8 epochs checkpointing every 2 commit images after epochs 1, 3, 5, 7. With
-  // retain=2, the commits at 5 and 7 must have swept 1 and 3 from disk, while the
+  // 8 epochs checkpointing every 2 commit images after epochs 1, 3, 5, 7. Members retain
+  // 2 images, so the commits at 5 and 7 must have swept 1 and 3 from disk, while the
   // retained pair (current + one fallback) and the manifest survive.
+  static_assert(kClusterCheckpointRetain == 2);
   const std::string dir = FreshDir("retain");
   ClusterKillRecoverDriver::Options opts;
   opts.cfg = BaseConfig(dir);
   opts.cfg.total_epochs = 8;
-  opts.cfg.checkpoint_retain = 2;
   opts.inject_kill = false;
   const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
   ASSERT_TRUE(out.launched && out.ok);

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -51,14 +52,18 @@ TEST(SocketTest, RoundTripBytes) {
 
 TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
   constexpr uint32_t kProcs = 3;
+  constexpr uint32_t kPer = 200;
+  // Declared before the transports: a failing ASSERT returns while their receive threads
+  // may still run the callback, which must then find these alive.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<uint32_t, std::vector<std::pair<uint32_t, uint32_t>>> received;  // dst -> (src, seq)
   std::vector<std::unique_ptr<TcpTransport>> transports;
   std::vector<uint16_t> ports;
   for (uint32_t p = 0; p < kProcs; ++p) {
     transports.push_back(std::make_unique<TcpTransport>(p, kProcs));
     ports.push_back(transports.back()->Listen());
   }
-  std::mutex mu;
-  std::map<uint32_t, std::vector<std::pair<uint32_t, uint32_t>>> received;  // dst -> (src, seq)
   std::vector<std::thread> starters;
   for (uint32_t p = 0; p < kProcs; ++p) {
     starters.emplace_back([&, p] {
@@ -70,8 +75,11 @@ TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
         }
         ByteReader r(payload);
         uint32_t seq = r.ReadU32();
-        std::lock_guard<std::mutex> lock(mu);
-        received[p].emplace_back(src, seq);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          received[p].emplace_back(src, seq);
+        }
+        cv.notify_all();
       };
       transports[p]->Start(ports, std::move(cb));
     });
@@ -80,7 +88,6 @@ TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
     t.join();
   }
 
-  constexpr uint32_t kPer = 200;
   for (uint32_t src = 0; src < kProcs; ++src) {
     for (uint32_t seq = 0; seq < kPer; ++seq) {
       for (uint32_t dst = 0; dst < kProcs; ++dst) {
@@ -93,29 +100,28 @@ TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
       }
     }
   }
-  // Wait for all deliveries.
   const size_t expect = (kProcs - 1) * kPer;
-  for (int spin = 0; spin < 2000; ++spin) {
-    std::lock_guard<std::mutex> lock(mu);
-    size_t total = 0;
-    for (auto& [dst, v] : received) {
-      total += v.size();
-    }
-    if (total == expect * kProcs) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  std::lock_guard<std::mutex> lock(mu);
-  for (uint32_t dst = 0; dst < kProcs; ++dst) {
-    ASSERT_EQ(received[dst].size(), expect);
-    std::map<uint32_t, uint32_t> next;  // per-src FIFO check
-    for (auto [src, seq] : received[dst]) {
-      EXPECT_EQ(seq, next[src]++);
-    }
+  bool all_arrived;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    all_arrived = cv.wait_for(lock, std::chrono::seconds(30), [&] {
+      size_t total = 0;
+      for (auto& [dst, v] : received) {
+        total += v.size();
+      }
+      return total == expect * kProcs;
+    });
   }
   for (auto& t : transports) {
-    t->Shutdown();
+    t->Shutdown();  // every receive thread is joined: `received` is now quiescent
+  }
+  EXPECT_TRUE(all_arrived);
+  for (uint32_t dst = 0; dst < kProcs; ++dst) {
+    EXPECT_EQ(received[dst].size(), expect) << "destination " << dst;
+    std::map<uint32_t, uint32_t> next;  // per-src FIFO check
+    for (auto [src, seq] : received[dst]) {
+      EXPECT_EQ(seq, next[src]++) << "destination " << dst << " source " << src;
+    }
   }
 }
 
@@ -338,9 +344,12 @@ TEST(TransportTest, ListenerHandOffKeepsPortAcrossGenerations) {
 
 // Starts policies.size() transports on a full loopback mesh, one LinkPolicy and one
 // Callbacks-factory call per process, returning them started.
+// `before_start`, when set, runs on each transport after Listen and before Start (the
+// window SeedRecvExpectation must be called in).
 std::vector<std::unique_ptr<TcpTransport>> StartMesh(
     const std::vector<LinkPolicy>& policies,
-    const std::function<TcpTransport::Callbacks(uint32_t)>& cb_fn) {
+    const std::function<TcpTransport::Callbacks(uint32_t)>& cb_fn,
+    const std::function<void(TcpTransport&)>& before_start = nullptr) {
   const uint32_t n = static_cast<uint32_t>(policies.size());
   std::vector<std::unique_ptr<TcpTransport>> transports;
   std::vector<uint16_t> ports;
@@ -348,6 +357,9 @@ std::vector<std::unique_ptr<TcpTransport>> StartMesh(
     transports.push_back(std::make_unique<TcpTransport>(p, n));
     transports.back()->SetLinkPolicy(policies[p]);
     ports.push_back(transports.back()->Listen());
+    if (before_start) {
+      before_start(*transports.back());
+    }
   }
   std::vector<std::thread> starters;
   for (uint32_t p = 0; p < n; ++p) {
@@ -524,6 +536,73 @@ TEST(TransportTest, CreditWindowThrottlesToReceiverConsumption) {
   for (auto& t : transports) {
     t->Shutdown();
   }
+}
+
+// A replay the receiver drops on purpose — selective recovery dedups a replacement's
+// regenerated frames through on_dup_frame returning true — must return the sender's
+// credit like a delivery does: the sender charged those bytes to its window, so a replay
+// longer than the window would otherwise park it for good, with its lease still fresh
+// and nothing to notice the hang.
+TEST(TransportTest, DedupedReplayReturnsCredit) {
+  constexpr uint32_t kReplayed = 32;  // frames the receiver already holds
+  constexpr uint32_t kFresh = 8;
+  constexpr size_t kPayload = 64;  // 85 wire bytes a frame: the replay is 2720 bytes
+  std::mutex mu;
+  std::condition_variable cv;
+  uint32_t delivered = 0;  // guarded by mu
+  std::atomic<uint32_t> deduped{0};
+  std::vector<LinkPolicy> policies(2);
+  for (auto& p : policies) {
+    p.heartbeat_interval_ms = 5;  // grants ride the heartbeats
+  }
+  policies[0].credit_window_bytes = 512;  // well below the replay
+  auto cb_fn = [&](uint32_t p) {
+    TcpTransport::Callbacks cb;
+    cb.on_frame = [&, p](FrameType type, uint32_t, uint32_t, std::span<const uint8_t>,
+                         bool) {
+      if (p == 1 && type == FrameType::kData) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ++delivered;
+        }
+        cv.notify_all();
+      }
+    };
+    cb.on_dup_frame = [&](FrameType type, uint32_t, uint32_t, uint64_t,
+                          std::span<const uint8_t>) {
+      if (type != FrameType::kData) {
+        return false;
+      }
+      deduped.fetch_add(1);
+      return true;  // a deliberately dropped replay, retired like a delivery
+    };
+    return cb;
+  };
+  auto transports = StartMesh(policies, cb_fn, [&](TcpTransport& t) {
+    if (t.process_id() == 1) {
+      t.SeedRecvExpectation(0, FrameType::kData, kReplayed);
+    }
+  });
+  std::thread sender([&] {
+    for (uint32_t i = 0; i < kReplayed + kFresh; ++i) {
+      transports[0]->Send(1, FrameType::kData, std::vector<uint8_t>(kPayload, 0xab));
+    }
+  });
+  bool finished;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    finished =
+        cv.wait_for(lock, std::chrono::seconds(20), [&] { return delivered == kFresh; });
+  }
+  for (auto& t : transports) {
+    t->Shutdown();  // a sender still parked on credit sees the link closed and drops
+  }
+  sender.join();
+  EXPECT_TRUE(finished) << "the sender parked on credit the deduped replay never returned";
+  EXPECT_EQ(deduped.load(), kReplayed);
+  EXPECT_EQ(delivered, kFresh);
+  EXPECT_EQ(transports[1]->frames_received(FrameType::kData), kReplayed + kFresh);
+  EXPECT_GT(transports[0]->credit_stalls(), 0u);  // the window did bind
 }
 
 // Shed mode: when the bound is hit, data frames are dropped-and-counted instead of
