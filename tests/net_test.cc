@@ -432,11 +432,53 @@ TEST(TransportTest, HeartbeatsRenewLeaseAcrossIdlePeriods) {
   }
 }
 
+// Holds the sender thread of the link 0 -> 1 before its first frame until Open(), so a
+// test decides when the link drains instead of hoping a sleeping receiver falls behind.
+// A stalled receive callback would not do it: the kernel buffers about 4 MB of loopback
+// traffic for a reader that never reads, enough for a whole test burst.
+class LinkGate final : public ClusterFaultPlan {
+ public:
+  LinkFaultHook* Link(uint32_t src, uint32_t dst) override {
+    return src == 0 && dst == 1 ? &hook_ : nullptr;
+  }
+  ProgressFaultHook* Progress(uint32_t) override { return nullptr; }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  class Hook final : public LinkFaultHook {
+   public:
+    explicit Hook(LinkGate* gate) : gate_(gate) {}
+    WriteStep Next(size_t) override { return WriteStep{}; }
+    bool ShouldResetBefore(uint64_t) override {
+      std::unique_lock<std::mutex> lock(gate_->mu_);
+      gate_->cv_.wait(lock, [&] { return gate_->open_; });
+      return false;
+    }
+
+   private:
+    LinkGate* gate_;
+  };
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  Hook hook_{this};
+};
+
 // Slow-receiver soak, the satellite's bounded-memory property: with max_queue_bytes set,
 // the sender's per-link data queue never exceeds the bound no matter how far the
 // receiver falls behind, progress frames keep flowing through the congestion (they are
 // flow-control-exempt), and the run still completes. The unbounded control run shows the
-// pre-policy behavior the bound removes: the queue absorbs nearly the whole soak.
+// pre-policy behavior the bound removes: the queue absorbs the whole soak. The link is
+// held shut (LinkGate) until the producer has queued its whole burst, or, under the
+// bound, until it has stalled on it, so the overload does not depend on relative speeds.
 TEST(TransportTest, SlowReceiverSoakKeepsSendQueueBounded) {
   constexpr size_t kBound = 32 * 1024;
   constexpr uint32_t kDataFrames = 400;
@@ -445,6 +487,8 @@ TEST(TransportTest, SlowReceiverSoakKeepsSendQueueBounded) {
   auto run_soak = [&](bool bounded) {
     std::atomic<uint32_t> data_got{0};
     std::atomic<uint32_t> progress_got{0};
+    std::atomic<bool> produced{false};
+    LinkGate gate;
     std::vector<LinkPolicy> policies(2);
     if (bounded) {
       policies[0].max_queue_bytes = kBound;
@@ -457,7 +501,6 @@ TEST(TransportTest, SlowReceiverSoakKeepsSendQueueBounded) {
           return;
         }
         if (type == FrameType::kData) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));  // slow consumer
           data_got.fetch_add(1);
         } else if (type == FrameType::kProgress) {
           progress_got.fetch_add(1);
@@ -465,18 +508,32 @@ TEST(TransportTest, SlowReceiverSoakKeepsSendQueueBounded) {
       };
       return cb;
     };
-    auto transports = StartMesh(policies, cb_fn);
+    auto transports = StartMesh(policies, cb_fn, [&](TcpTransport& t) {
+      if (t.process_id() == 0) {
+        t.SetFaultPlan(&gate);
+      }
+    });
     std::thread producer([&] {
       for (uint32_t i = 0; i < kDataFrames; ++i) {
         transports[0]->Send(1, FrameType::kData, std::vector<uint8_t>(kPayload, 0xab));
       }
+      produced.store(true);
     });
-    // Progress must flow while the data path is congested (the producer above spends
-    // most of the soak blocked on the bound).
+    // With the link held, the producer either queues its whole burst (unbounded) or
+    // blocks on the bound (bounded); a blocked producer cannot finish, so one of the two
+    // must be observed.
+    for (int spin = 0; spin < 15000; ++spin) {
+      if (produced.load() || transports[0]->credit_stalls() > 0) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    // Progress must flow while the data path is congested: these enqueue while the
+    // producer above is still blocked on the bound.
     for (uint32_t i = 0; i < kProgressFrames; ++i) {
       transports[0]->Send(1, FrameType::kProgress, std::vector<uint8_t>{1, 2, 3});
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    gate.Open();
     producer.join();
     for (int spin = 0; spin < 5000; ++spin) {
       if (data_got.load() == kDataFrames && progress_got.load() == kProgressFrames) {
@@ -613,6 +670,7 @@ TEST(TransportTest, ShedModeDropsOnlyDataAndCountsEveryDrop) {
   constexpr uint32_t kProgressFrames = 20;
   std::atomic<uint32_t> data_got{0};
   std::atomic<uint32_t> progress_got{0};
+  LinkGate gate;  // the link drains only after the whole burst was offered
   std::vector<LinkPolicy> policies(2);
   policies[0].max_queue_bytes = 8 * 1024;
   policies[0].shed_data = true;
@@ -624,7 +682,6 @@ TEST(TransportTest, ShedModeDropsOnlyDataAndCountsEveryDrop) {
         return;
       }
       if (type == FrameType::kData) {
-        std::this_thread::sleep_for(std::chrono::microseconds(500));
         data_got.fetch_add(1);
       } else if (type == FrameType::kProgress) {
         progress_got.fetch_add(1);
@@ -632,13 +689,18 @@ TEST(TransportTest, ShedModeDropsOnlyDataAndCountsEveryDrop) {
     };
     return cb;
   };
-  auto transports = StartMesh(policies, cb_fn);
+  auto transports = StartMesh(policies, cb_fn, [&](TcpTransport& t) {
+    if (t.process_id() == 0) {
+      t.SetFaultPlan(&gate);
+    }
+  });
   for (uint32_t i = 0; i < kDataFrames; ++i) {
     transports[0]->Send(1, FrameType::kData, std::vector<uint8_t>(1024, 0xee));
     if (i % 10 == 0) {
       transports[0]->Send(1, FrameType::kProgress, std::vector<uint8_t>{7});
     }
   }
+  gate.Open();
   for (int spin = 0; spin < 5000; ++spin) {
     if (data_got.load() + transports[0]->frames_shed() >= kDataFrames &&
         progress_got.load() == kProgressFrames) {
