@@ -21,6 +21,7 @@ Controller::Controller(Config cfg)
   NAIAD_CHECK(cfg_.workers_per_process > 0);
   NAIAD_CHECK(cfg_.processes > 0);
   NAIAD_CHECK(cfg_.process_id < cfg_.processes);
+  NAIAD_CHECK(cfg_.batch_size > 0);  // an Outlet cuts batches into batch_size bundles
   obs_ = std::make_unique<obs::Obs>(cfg_.obs, cfg_.workers_per_process, cfg_.processes);
   progress_router_ = &local_router_;
   workers_.reserve(cfg_.workers_per_process);
